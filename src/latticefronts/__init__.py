@@ -14,8 +14,9 @@ from .model import (CubicNonlinearity, LatticeModel, PeriodicState,
                     two_site_transform, find_four_periodic_equilibria,
                     four_site_transform, build_infinite_range)
 from .mfde import (MFDEOperator, HyperbolicityReport, characteristic_matrix,
-                   is_hyperbolic, asymptotic_hyperbolicity, adjoint,
-                   upsilon_two_site, two_site_operator)
+                   characteristic_matrices, is_hyperbolic,
+                   asymptotic_hyperbolicity, adjoint, upsilon_two_site,
+                   two_site_operator)
 from .bvp import (Grid, WaveProblem, WaveSolution, make_grid, initial_guess,
                   assemble_residual, assemble_jacobian, newton_solve,
                   kernel_vectors, nagumo_problem, epsilon_scaled_problem,

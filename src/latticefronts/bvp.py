@@ -479,7 +479,16 @@ def epsilon_scaled_problem(d1: float, d2: float, a: float, eps: float) -> WavePr
 def two_site_problem(system: TwoSiteSystem, eps: float = 0.0,
                      h: float = 1.0) -> WaveProblem:
     """Reference even/odd system with the second-neighbor coupling as the
-    eps-scaled perturbation."""
+    eps-scaled perturbation.
+
+    h is the lattice shift: the xi-distance between neighboring two-site
+    cells, so the couplings act on phi(xi -+ h).  It is not the grid
+    spacing of `make_grid`.  Any h > 0 describes the same lattice in
+    another xi unit, and the wave speed c scales with it: the wave of
+    h = 0.5, solved on a grid, domain and guess halved with it, has half
+    the speed of the h = 1 wave.  Passing the grid's spacing as h
+    rescales the lattice instead of refining the grid.
+    """
     d_e, d_o, d2 = system.d_e, system.d_o, system.d2
     base = (
         np.array([[0.0, d_e], [0.0, 0.0]]),

@@ -12,7 +12,6 @@ axis, at both ends, for the operator and its adjoint.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -24,6 +23,7 @@ __all__ = [
     "HyperbolicityReport",
     "StandingWaveError",
     "characteristic_matrix",
+    "characteristic_matrices",
     "is_hyperbolic",
     "asymptotic_hyperbolicity",
     "adjoint",
@@ -66,13 +66,44 @@ class MFDEOperator:
         return self.gamma_plus if end > 0 else self.gamma_minus
 
 
+# Points per block of a characteristic-matrix stack: the (block, shifts)
+# exponential table stays small whatever the scan length and shift count.
+_BLOCK = 512
+
+
+def characteristic_matrices(op: MFDEOperator, end: int, s) -> np.ndarray:
+    """Delta(s_k) for every point of the 1-d array s, as a (len(s), N, N) stack.
+
+    Delta(s) = c s I - sum_j A_j e^{s r_j} + diag(gamma) at the given end.
+    An exponent beyond the float range raises FloatingPointError instead of
+    returning inf or nan.
+    """
+    s = np.asarray(s, dtype=complex)
+    n = op.dimension
+    shifts = np.array(op.shifts)
+    mats = np.array(op.limits(end), dtype=float)
+    fixed = np.diag(op.gamma(end)).astype(complex)
+    eye = np.eye(n)
+    out = np.empty((len(s), n, n), dtype=complex)
+    terms = np.empty((min(len(s), _BLOCK), len(shifts) + 1, n, n), dtype=complex)
+    for k in range(0, len(s), _BLOCK):
+        blk = s[k:k + _BLOCK]
+        t = terms[:len(blk)]
+        with np.errstate(over="raise"):
+            np.multiply(np.exp(np.multiply.outer(blk, shifts))[:, :, None, None],
+                        mats, out=t[:, 1:])
+        t[:, 0] = (op.c * blk)[:, None, None] * eye + fixed
+        # (c s I + diag(gamma)) - A_1 e^{s r_1} - A_2 e^{s r_2} - ..., in shift
+        # order: the scans' near-tied minima (theta and 2 pi - theta in the
+        # eigenvalue certificate) are decided in the last bits, so the sum
+        # keeps the rounding of the plain per-shift loop, not a matrix product's
+        np.subtract.reduce(t, axis=1, out=out[k:k + _BLOCK])
+    return out
+
+
 def characteristic_matrix(op: MFDEOperator, end: int, s: complex) -> np.ndarray:
     """Delta(s) = c s I - sum_j A_j e^{s r_j} + diag(gamma) at the given end."""
-    n = op.dimension
-    out = op.c * s * np.eye(n, dtype=complex) + np.diag(op.gamma(end)).astype(complex)
-    for r, A in zip(op.shifts, op.limits(end)):
-        out -= A * cmath.exp(s * r)
-    return out
+    return characteristic_matrices(op, end, [s])[0]
 
 
 @dataclass(frozen=True)
@@ -83,6 +114,7 @@ class HyperbolicityEntry:
     min_modulus: float
     theta_at_min: float
     theta_bound: float
+    dtheta: float             # spacing of the sampling grid before refinement
     tol: float
     method: str
 
@@ -94,6 +126,7 @@ class HyperbolicityEntry:
             "min_modulus": self.min_modulus,
             "theta_at_min": self.theta_at_min,
             "Theta": self.theta_bound,
+            "dtheta": self.dtheta,
             "tol": self.tol,
             "method": self.method,
         }
@@ -125,20 +158,24 @@ def _operator_norms(op: MFDEOperator, end: int) -> float:
 
 
 def _golden_refine(func, lo, hi, iters=60):
+    """Golden-section minimization on every bracket [lo_k, hi_k] at once.
+
+    func maps an array of points to an array of values; each step evaluates
+    it once, on one new point per bracket.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = func(x1), func(x2)
     for _ in range(iters):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = func(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = func(x2)
+        left = f1 < f2
+        a = np.where(left, a, x1)
+        b = np.where(left, x2, b)
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fx = func(x)
+        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
+        f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
     x = 0.5 * (a + b)
     return x, func(x)
 
@@ -166,22 +203,19 @@ def _shift_base(shifts) -> float | None:
 
 def _scan_detmin(op, end, theta_max, grid_points):
     thetas = np.linspace(0.0, theta_max, grid_points)
-    dets = np.array([abs(np.linalg.det(characteristic_matrix(op, end, 1j * t)))
-                     for t in thetas])
 
     def f(t):
-        return abs(np.linalg.det(characteristic_matrix(op, end, 1j * t)))
+        return np.abs(np.linalg.det(characteristic_matrices(op, end, 1j * t)))
 
-    best_t, best_v = 0.0, dets[0]
+    dets = f(thetas)
     interior = np.flatnonzero((dets[1:-1] <= dets[:-2]) & (dets[1:-1] <= dets[2:])) + 1
-    candidates = set(interior.tolist()) | {0, len(thetas) - 1}
-    for i in candidates:
-        lo = thetas[max(i - 1, 0)]
-        hi = thetas[min(i + 1, len(thetas) - 1)]
-        t, v = _golden_refine(f, lo, hi)
-        if v < best_v:
-            best_t, best_v = t, v
-    return best_t, best_v
+    candidates = np.union1d(interior, [0, len(thetas) - 1])
+    t, v = _golden_refine(f, thetas[np.maximum(candidates - 1, 0)],
+                          thetas[np.minimum(candidates + 1, len(thetas) - 1)])
+    k = int(np.argmin(v))
+    if v[k] < dets[0]:
+        return float(t[k]), float(v[k])
+    return 0.0, float(dets[0])
 
 
 def _eig_realpart_certificate(op, end, period, grid_points):
@@ -193,18 +227,19 @@ def _eig_realpart_certificate(op, end, period, grid_points):
     real parts certifies hyperbolicity for every theta and every speed.
     """
     thetas = np.linspace(0.0, period, grid_points)
+    eye = np.eye(op.dimension)
 
     def min_realpart(t):
-        q = characteristic_matrix(op, end, 1j * t) - 1j * op.c * t * np.eye(op.dimension)
-        return float(np.min(np.abs(np.real(np.linalg.eigvals(q)))))
+        q = characteristic_matrices(op, end, 1j * t) - (1j * op.c * t)[:, None, None] * eye
+        return np.min(np.abs(np.real(np.linalg.eigvals(q))), axis=-1)
 
-    vals = np.array([min_realpart(t) for t in thetas])
+    vals = min_realpart(thetas)
     i = int(np.argmin(vals))
-    lo = thetas[max(i - 1, 0)]
-    hi = thetas[min(i + 1, len(thetas) - 1)]
-    t, v = _golden_refine(min_realpart, lo, hi)
+    t, v = _golden_refine(min_realpart, thetas[[max(i - 1, 0)]],
+                          thetas[[min(i + 1, len(thetas) - 1)]])
+    t, v = float(t[0]), float(v[0])
     if vals[i] < v:
-        t, v = thetas[i], float(vals[i])
+        t, v = float(thetas[i]), float(vals[i])
     return t, v
 
 
@@ -214,31 +249,39 @@ def is_hyperbolic(op: MFDEOperator, end: int, tol: float = 1e-8,
     """Decide det Delta(i theta) != 0 at one end.
 
     For |c| large enough that the a-priori bound Theta is moderate, scans
-    |theta| <= Theta directly.  Near-standing waves (Theta beyond
-    theta_cap) fall back to the periodic eigenvalue certificate, which
-    needs commensurable shifts.
+    |theta| <= Theta directly, on at least grid_points points and at least
+    32 per period 2 pi / base of the shifts' common base.  Near-standing
+    waves (Theta beyond theta_cap) fall back to the periodic eigenvalue
+    certificate, which needs commensurable shifts.  The entry records the
+    grid spacing as dtheta.
     """
     norms = _operator_norms(op, end)
     theta_bound = (norms + 1.0) / abs(op.c) if op.c != 0.0 else math.inf
+    base = _shift_base(op.shifts)
 
     if theta_bound <= theta_cap:
-        t, v = _scan_detmin(op, end, theta_bound, grid_points)
+        span, points = theta_bound, grid_points
+        if base is not None:
+            # at least 32 grid intervals per period 2 pi / base
+            per_period = 32.0 * base / (2.0 * math.pi)
+            points = max(points, math.ceil(per_period * theta_bound) + 1)
+        t, v = _scan_detmin(op, end, span, points)
         method = "det-scan"
     else:
-        base = _shift_base(op.shifts)
         if base is None:
             raise StandingWaveError(
                 "speed too close to zero for the det scan and shifts are "
                 "incommensurable; standing waves are unsupported here")
-        period = 2.0 * math.pi / base
-        t, v = _eig_realpart_certificate(op, end, period, grid_points)
+        span, points = 2.0 * math.pi / base, grid_points
+        t, v = _eig_realpart_certificate(op, end, span, points)
         method = "eig-realpart-certificate"
         # report |det| at the certificate minimizer for diagnostics
         v = min(v, abs(np.linalg.det(characteristic_matrix(op, end, 1j * t))))
 
     return HyperbolicityEntry(end=end, adjoint=adjoint_flag, verdict=bool(v > tol),
                               min_modulus=float(v), theta_at_min=float(t),
-                              theta_bound=float(theta_bound), tol=tol, method=method)
+                              theta_bound=float(theta_bound),
+                              dtheta=span / (points - 1), tol=tol, method=method)
 
 
 def adjoint(op: MFDEOperator) -> MFDEOperator:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .mfde import MFDEOperator, characteristic_matrix
+from .mfde import MFDEOperator, characteristic_matrices, characteristic_matrix
 from .model import InfiniteRangeModel, LatticeModel
 
 __all__ = [
@@ -52,8 +52,8 @@ class TailFitError(RuntimeError):
 class TailReport:
     lambda0: float            # rate at -inf, positive
     lambda1: float            # rate at +inf, negative
-    eigvec0: np.ndarray
-    eigvec1: np.ndarray
+    eigvec0: np.ndarray       # null vector of Delta(lambda0) at -inf
+    eigvec1: np.ndarray       # null vector of Delta(lambda1) at +inf
     method: str
 
     def to_json(self) -> dict:
@@ -72,12 +72,17 @@ def decay_rates_constant(op: MFDEOperator, end: int, lam_max: float = 20.0,
     """Real roots of det Delta(lambda) = 0 at one end, sorted ascending.
 
     The caller picks the smallest positive root at -inf or the largest
-    negative root at +inf as the front's decay rate.
+    negative root at +inf as the front's decay rate.  The scan covers
+    |lambda| <= lam_max, narrowed to |lambda| <= 700 / max|r_j| so that
+    every e^{lambda r_j} stays inside the float range.
     """
     if op.c == 0.0:
         raise ValueError("tail roots need a nonzero speed")
+    r_max = max(abs(r) for r in op.shifts)
+    if r_max > 0.0:
+        lam_max = min(lam_max, 700.0 / r_max)
     lams = np.linspace(-lam_max, lam_max, grid_points)
-    vals = np.array([_real_det(op, end, la) for la in lams])
+    vals = np.real(np.linalg.det(characteristic_matrices(op, end, lams)))
     roots = []
     sign_change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
     for i in sign_change:
@@ -250,7 +255,15 @@ def tail_report_constant(op: MFDEOperator, lam_max: float = 20.0) -> TailReport:
         raise NoRealRootError("no positive real characteristic root at -inf")
     if not roots_p:
         raise NoRealRootError("no negative real characteristic root at +inf")
-    n = op.dimension
-    return TailReport(lambda0=min(roots_m), lambda1=max(roots_p),
-                      eigvec0=np.ones(n), eigvec1=np.ones(n),
+    lam0, lam1 = min(roots_m), max(roots_p)
+    return TailReport(lambda0=lam0, lambda1=lam1,
+                      eigvec0=_null_vector(op, -1, lam0),
+                      eigvec1=_null_vector(op, +1, lam1),
                       method="characteristic_root")
+
+
+def _null_vector(op: MFDEOperator, end: int, lam: float) -> np.ndarray:
+    """Right singular vector of the real matrix Delta(lam) for its smallest
+    singular value, scaled so that its largest-modulus entry is +1."""
+    v = np.linalg.svd(characteristic_matrix(op, end, complex(lam)).real)[2][-1]
+    return v / v[np.argmax(np.abs(v))]

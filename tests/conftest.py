@@ -85,12 +85,22 @@ def two_site_front(two_site_system):
 
 
 @pytest.fixture(scope="session")
-def traveling_two_site_front():
+def traveling_two_site_system():
+    """Two-site system from the d1=1, a=0.3 lattice through the homogeneous
+    pair (0,0) -> (1,1), with a second-neighbor weight d2=-0.1 of the
+    opposite sign to d1 (competing interactions)."""
+    states = find_two_periodic_equilibria(1.0, 0.3)
+    minus = closest_state(states, (0.0, 0.0))
+    plus = closest_state(states, (1.0, 1.0))
+    return dataclasses.replace(two_site_transform(1.0, 0.0, 0.3, minus, plus),
+                               d2=-0.1)
+
+
+@pytest.fixture(scope="session")
+def traveling_two_site_front(traveling_two_site_system):
     """Base (eps=0) wave of a two-site system in the translational regime.
 
-    The system comes from the d1=1, a=0.3 lattice through the homogeneous
-    pair (0,0) -> (1,1), with a second-neighbor weight d2=-0.1 of the
-    opposite sign to d1 (competing interactions).  The reference wave has
+    The system is `traveling_two_site_system`.  The reference wave has
     the hypotheses of the perturbation scheme: c != 0, a one-dimensional
     kernel spanned by phi' (kernel_dim 1) and delta_hat > 0.
 
@@ -107,11 +117,6 @@ def traveling_two_site_front():
     d1 = -0.05, a = 0.5 gives c = 0.134 at h = 1 and c = -0.016 at
     h = 0.5.  Those speeds are discretization artifacts, not waves.
     """
-    states = find_two_periodic_equilibria(1.0, 0.3)
-    minus = closest_state(states, (0.0, 0.0))
-    plus = closest_state(states, (1.0, 1.0))
-    ts = dataclasses.replace(two_site_transform(1.0, 0.0, 0.3, minus, plus),
-                             d2=-0.1)
-    problem = two_site_problem(ts)
+    problem = two_site_problem(traveling_two_site_system)
     grid, sol = solve_front(problem, c0=0.1)
     return problem, grid, sol

@@ -175,6 +175,18 @@ def test_swapped_pair_wave_is_pinned_off_balance(c0):
     assert kernel_vectors(problem, grid, sol).kernel_dim == 0
 
 
+def test_two_site_speed_scales_with_lattice_shift(traveling_two_site_system,
+                                                  traveling_two_site_front):
+    # h is the lattice shift, not the grid spacing: halving it, with the
+    # grid, the domain and the guess halved too, is a change of the xi unit
+    _, _, sol = traveling_two_site_front
+    half = two_site_problem(traveling_two_site_system, h=0.5)
+    grid = make_grid(20.0, 0.5, half.all_shifts)
+    guess = initial_guess(grid, math.sqrt(0.5), half.dimension)
+    sol_half = newton_solve(half, grid, guess, 0.05)
+    assert abs(sol_half.c - 0.5 * sol.c) <= 1e-6
+
+
 # --------------------------------------------------------------------------
 # kernel diagnostics
 

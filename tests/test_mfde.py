@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from latticefronts.mfde import (
     MFDEOperator,
     StandingWaveError,
+    _golden_refine,
     adjoint,
     asymptotic_hyperbolicity,
+    characteristic_matrices,
     characteristic_matrix,
     is_hyperbolic,
     two_site_operator,
@@ -58,6 +60,76 @@ def test_operator_requires_zero_shift():
                      gamma_plus=np.array([1.0]))
 
 
+def per_point_delta(op, end, s):
+    """Reference: Delta(s) = c s I - sum_j A_j e^{s r_j} + diag(gamma), one
+    point at a time with scalar exponentials."""
+    out = op.c * s * np.eye(op.dimension, dtype=complex) + np.diag(op.gamma(end))
+    for r, A in zip(op.shifts, op.limits(end)):
+        out = out - A * cmath.exp(s * r)
+    return out
+
+
+@st.composite
+def random_operators(draw):
+    n = draw(st.integers(1, 4))
+    nonzero = draw(st.lists(st.floats(-3.0, 3.0).filter(lambda r: abs(r) > 1e-3),
+                            min_size=0, max_size=5, unique=True))
+    shifts = (0.0, *nonzero)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = tuple(rng.normal(size=(n, n)) for _ in shifts)
+    return MFDEOperator(shifts=shifts, limits_minus=mats,
+                        limits_plus=tuple(-A for A in mats),
+                        c=draw(st.floats(-2.0, 2.0)),
+                        gamma_minus=rng.normal(size=n), gamma_plus=rng.normal(size=n))
+
+
+def random_points(seed, count):
+    """Complex points with |Re s| <= 2, enough of them to cross block edges."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-2.0, 2.0, count) + 1j * rng.uniform(-10.0, 10.0, count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_operators(), st.integers(0, 2**32 - 1), st.integers(1, 1200),
+       st.sampled_from([-1, 1]))
+def test_stack_matches_per_point_formula(op, seed, count, end):
+    s = random_points(seed, count)
+    stack = characteristic_matrices(op, end, s)
+    assert stack.shape == (count, op.dimension, op.dimension)
+    for k in np.unique(np.linspace(0, count - 1, 12).astype(int)):
+        ref = per_point_delta(op, end, s[k])
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(stack[k] - ref)) <= 1e-13 * scale
+        assert np.array_equal(characteristic_matrix(op, end, s[k]), stack[k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_operators(), st.integers(0, 2**32 - 1), st.sampled_from([-1, 1]))
+def test_adjoint_identity_on_stacks(op, seed, end):
+    # Delta_adj(s) = Delta(-s)^T, checked on a whole stack at once
+    s = random_points(seed, 700)
+    lhs = characteristic_matrices(adjoint(op), end, s)
+    rhs = characteristic_matrices(op, end, -s).transpose(0, 2, 1)
+    scale = max(1.0, float(np.max(np.abs(rhs))))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-13 * scale
+
+
+def test_stack_overflow_raises():
+    op = nagumo_operator(1.0, 0.5, 0.3, 0.5)
+    with pytest.raises(FloatingPointError):
+        characteristic_matrices(op, -1, np.array([0.0, 400.0]))
+
+
+def test_golden_refine_brackets_are_independent():
+    # cos has its minima at odd multiples of pi; one bracket around each
+    minima = np.array([-math.pi, math.pi, 3.0 * math.pi])
+    x, v = _golden_refine(np.cos, minima - 0.5, minima + 0.7)
+    assert np.all(np.abs(x - minima) <= 1e-7)
+    for k in range(3):
+        xk, vk = _golden_refine(np.cos, minima[k:k + 1] - 0.5, minima[k:k + 1] + 0.7)
+        assert xk[0] == x[k] and vk[0] == v[k]
+
+
 # --------------------------------------------------------------------------
 # adjoint
 
@@ -88,10 +160,11 @@ def test_adjoint_is_involutive():
        st.floats(-2.0, 2.0), st.floats(-8.0, 8.0))
 def test_upsilon_matches_determinant(d_e, d_o, d2, eps, g1, g2, c, theta):
     op = two_site_operator(d_e, d_o, d2, eps, (g1, g2), (g1, g2), c)
-    det = np.linalg.det(characteristic_matrix(op, -1, 1j * theta))
-    closed = upsilon_two_site(d_e, d_o, d2, eps, g1, g2, c, theta)
-    scale = max(1.0, abs(det))
-    assert abs(det - closed) <= 1e-12 * scale
+    thetas = np.append(np.linspace(-8.0, 8.0, 1001), theta)
+    dets = np.linalg.det(characteristic_matrices(op, -1, 1j * thetas))
+    closed = np.array([upsilon_two_site(d_e, d_o, d2, eps, g1, g2, c, t)
+                       for t in thetas])
+    assert np.all(np.abs(dets - closed) <= 1e-12 * np.maximum(1.0, np.abs(dets)))
 
 
 def test_upsilon_at_zero_closed_form():
@@ -174,6 +247,27 @@ def test_standing_wave_incommensurable_shifts_unsupported():
                       gamma_plus=np.array([0.5]))
     with pytest.raises(StandingWaveError):
         is_hyperbolic(op, -1)
+
+
+def test_det_scan_resolves_every_shift_period_near_the_cap():
+    # operator norms 0.5 + max|gamma| 0.9, so Theta = 2.4 / c = 9e3: the
+    # default 4096 points would leave fewer than 3 per period 2 pi
+    op = two_site_operator(0.1, 0.1, 0.0, 0.0, (0.9, 0.9), (0.9, 0.9), 2.4 / 9.0e3)
+    entry = is_hyperbolic(op, -1)
+    assert entry.method == "det-scan"
+    assert abs(entry.theta_bound - 9.0e3) <= 1e-6
+    assert entry.dtheta <= 2.0 * math.pi / 32.0      # shift base 1
+    assert entry.verdict
+
+
+def test_report_entries_state_their_resolution():
+    for op in (nagumo_operator(1.0, 0.0, 0.3, 0.27),
+               two_site_operator(0.05, 0.05, 0.0, 0.0, (0.9, 0.9), (0.9, 0.9), 0.0)):
+        for entry in asymptotic_hyperbolicity(op).entries:
+            span = (entry.theta_bound if entry.method == "det-scan"
+                    else 2.0 * math.pi)
+            assert 0.0 < entry.dtheta <= span / 4095
+            assert entry.to_json()["dtheta"] == entry.dtheta
 
 
 def test_report_worst_entry_consistent():

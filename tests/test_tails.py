@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from latticefronts.bvp import infinite_range_problem
+from latticefronts.mfde import characteristic_matrix
 from latticefronts.model import build_infinite_range, build_nagumo
 from latticefronts.tails import (
     NoRealRootError,
@@ -40,9 +42,30 @@ def test_decay_rates_are_characteristic_roots(nagumo_front):
     op = problem.operator(sol.c)
     for end in (-1, 1):
         for root in decay_rates_constant(op, end):
-            from latticefronts.mfde import characteristic_matrix
             val = np.linalg.det(characteristic_matrix(op, end, complex(root)))
             assert abs(val) <= 1e-8
+
+
+@pytest.mark.parametrize("front", ["nagumo_front", "traveling_two_site_front"])
+def test_tail_eigenvectors_span_the_kernel(front, request):
+    problem, _, sol = request.getfixturevalue(front)
+    op = problem.operator(sol.c)
+    report = tail_report_constant(op)
+    for end, lam, vec in ((-1, report.lambda0, report.eigvec0),
+                          (+1, report.lambda1, report.eigvec1)):
+        assert vec.shape == (op.dimension,)
+        assert np.max(np.abs(vec)) == 1.0 and vec[np.argmax(np.abs(vec))] == 1.0
+        delta = characteristic_matrix(op, end, complex(lam))
+        assert np.linalg.norm(delta @ vec) <= 1e-8
+
+
+def test_infinite_range_tail_scan_stays_in_float_range():
+    # criterion-10 kernel, shifts up to |r| = 40: e^{20 r} would overflow
+    irm = build_infinite_range(0.3, 0.5, 1.0, 1, 40)
+    c = 0.2613165766630871          # its wave speed at eps = 0.1
+    report = tail_report_constant(infinite_range_problem(irm, 0.1).operator(c))
+    mu_minus, _ = periodic_decay_rate(irm.full_model(0.1), -1, c)
+    assert abs(report.lambda0 - mu_minus) <= 1e-10
 
 
 def test_decay_rates_need_nonzero_speed(nagumo_front):
