@@ -9,10 +9,12 @@ equilibria.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -25,11 +27,14 @@ __all__ = [
     "WaveProblem",
     "WaveSolution",
     "KernelData",
+    "Coupling",
+    "Discretization",
     "IncommensurableShiftError",
     "NewtonDivergenceError",
     "SingularSystemError",
     "DomainTooSmallError",
     "make_grid",
+    "discretize",
     "initial_guess",
     "assemble_residual",
     "assemble_jacobian",
@@ -83,14 +88,22 @@ class Grid:
         return (np.arange(self.n) - m) * self.h
 
 
+def _grid_steps(shifts, h: float) -> tuple[int, ...]:
+    """Shifts in whole grid cells; raises if one is off the grid."""
+    steps = []
+    for r in shifts:
+        m = r / h
+        if abs(m - round(m)) > 1e-12 * max(1.0, abs(m)):
+            raise IncommensurableShiftError(
+                f"shift r={r} is not an integer multiple of the grid spacing h={h}")
+        steps.append(round(m))
+    return tuple(steps)
+
+
 def make_grid(L: float, h: float, shifts) -> Grid:
     if L < 10.0 * h:
         raise ValueError(f"half-length L={L} must be at least 10 h = {10 * h}")
-    for r in shifts:
-        steps = r / h
-        if abs(steps - round(steps)) > 1e-12 * max(1.0, abs(steps)):
-            raise IncommensurableShiftError(
-                f"shift r={r} is not an integer multiple of the grid spacing h={h}")
+    _grid_steps(shifts, h)
     grid = Grid(L=L, h=h)
     if grid.n < 51:
         raise ValueError(f"grid has only {grid.n} nodes; need at least 51")
@@ -173,39 +186,76 @@ def shifted_profile(profile: np.ndarray, steps: int, left: float = 0.0,
     return out
 
 
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
+class Coupling:
+    """v -> sum_j A_j v(. + r_j) on an n-node grid, as C @ v + left b_left
+    + right b_right: C (nN x nN, on node-major vectors) holds the on-grid
+    arguments, b_left/b_right (n, N) what unit constants beyond the left and
+    right ends contribute, so off-grid arguments clamp to `left`/`right`."""
+
+    C: sp.csr_matrix
+    b_left: np.ndarray
+    b_right: np.ndarray
+
+    def apply(self, values: np.ndarray, left: float = 0.0,
+              right: float = 1.0) -> np.ndarray:
+        out = (self.C @ values.ravel()).reshape(values.shape)
+        if left != 0.0:
+            out += left * self.b_left
+        if right != 0.0:
+            out += right * self.b_right
+        return out
+
+
+@functools.lru_cache(maxsize=32)
+def _coupling(n: int, N: int, steps: tuple[int, ...], mats: bytes) -> Coupling:
+    A = np.frombuffer(mats).reshape(len(steps), N, N)
+    steps = np.array(steps, dtype=np.int64).reshape(-1)
+    # one column per nonzero A_j[a, b]: row i*N + a takes it at column
+    # (i + m_j)*N + b wherever node i + m_j lies on the grid
+    j, a, b = np.nonzero(A)
+    node = np.arange(n)[:, None]
+    target = node + steps[j]
+    inside = (target >= 0) & (target < n)
+    rows = (node * N + a)[inside]
+    cols = (target * N + b)[inside]
+    vals = np.broadcast_to(A[j, a, b], inside.shape)[inside]
+    C = sp.csr_matrix((vals, (rows, cols)), shape=(n * N, n * N))
+    cell = node + steps
+    row_sums = A.sum(axis=2)
+    b_left = (cell < 0).astype(float) @ row_sums
+    b_right = (cell >= n).astype(float) @ row_sums
+    _read_only(C.data, b_left, b_right)
+    return Coupling(C=C, b_left=b_left, b_right=b_right)
+
+
+def coupling_operator(shifts, matrices, n: int, N: int, h: float) -> Coupling:
+    """Cached sparse coupling of the shift/matrix pairs on n nodes of spacing h."""
+    steps = _grid_steps(shifts, h)
+    mats = np.asarray(matrices, dtype=float).reshape(len(steps), N, N)
+    return _coupling(n, N, steps, mats.tobytes())
+
+
 def apply_coupling(shifts, matrices, profile: np.ndarray, h: float,
                    left: float = 0.0, right: float = 1.0) -> np.ndarray:
-    out = np.zeros_like(profile)
-    for r, A in zip(shifts, matrices):
-        out += shifted_profile(profile, round(r / h), left, right) @ A.T
-    return out
+    n, N = profile.shape
+    return coupling_operator(shifts, matrices, n, N, h).apply(profile, left, right)
 
 
 def _deriv_matrix(n: int, h: float) -> sp.csr_matrix:
     """Second-order first-derivative matrix (one-sided at the end nodes)."""
-    D = sp.lil_matrix((n, n))
     inv2h = 1.0 / (2.0 * h)
-    for i in range(1, n - 1):
-        D[i, i - 1] = -inv2h
-        D[i, i + 1] = inv2h
-    D[0, 0], D[0, 1], D[0, 2] = -3.0 * inv2h, 4.0 * inv2h, -inv2h
-    D[n - 1, n - 1], D[n - 1, n - 2], D[n - 1, n - 3] = 3.0 * inv2h, -4.0 * inv2h, inv2h
-    return D.tocsr()
-
-
-def initial_guess(grid: Grid, width: float = math.sqrt(2.0), components: int = 1) -> np.ndarray:
-    if width <= 0.0:
-        raise ValueError("front width must be positive")
-    front = 1.0 / (1.0 + np.exp(-grid.xi / width))
-    return np.tile(front[:, None], (1, components))
-
-
-def assemble_residual(problem: WaveProblem, grid: Grid, profile: np.ndarray,
-                      c: float) -> np.ndarray:
-    shifts, mats = problem.effective_coupling()
-    D = _deriv_matrix(grid.n, grid.h)
-    return c * (D @ profile) - apply_coupling(shifts, mats, profile, grid.h) \
-        + problem.F(profile)
+    inner_rows = np.arange(1, n - 1)
+    rows = np.concatenate([inner_rows, inner_rows, [0, 0, 0, n - 1, n - 1, n - 1]])
+    cols = np.concatenate([inner_rows - 1, inner_rows + 1, [0, 1, 2, n - 1, n - 2, n - 3]])
+    vals = np.concatenate([np.full(n - 2, -inv2h), np.full(n - 2, inv2h),
+                           inv2h * np.array([-3.0, 4.0, -1.0, 3.0, -4.0, 1.0])])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def trapezoid_weights(grid: Grid) -> np.ndarray:
@@ -219,31 +269,95 @@ def inner(weights: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     return float(np.sum(weights[:, None] * u * v))
 
 
+@dataclass(frozen=True, eq=False)
+class Discretization:
+    """The grid operators of one (problem, grid), built once and shared by
+    the residual, the Jacobian, kernel extraction and the fixed-point scheme.
+
+    D is the n x n first-derivative matrix, weights the trapezoid weights and
+    coupling the problem's effective coupling.  The linearization
+    c (D (x) I) - C + diag(F'(phi)) is assembled from a fixed sparsity
+    pattern: `slots` maps the concatenated entries of c (D (x) I), -C and the
+    diagonal to their CSR positions.
+    """
+
+    D: sp.csr_matrix
+    weights: np.ndarray
+    coupling: Coupling
+    kron_vals: np.ndarray     # values of D (x) I, in pattern-entry order
+    slots: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    def linearization(self, fprime: np.ndarray, c: float) -> sp.csr_matrix:
+        """c (D (x) I) - C + diag(fprime), from F'(phi) of shape (n, N)."""
+        vals = np.concatenate([c * self.kron_vals, -self.coupling.C.data,
+                               fprime.ravel()])
+        data = np.bincount(self.slots, weights=vals, minlength=len(self.indices))
+        size = len(self.indptr) - 1
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                             shape=(size, size))
+
+
+@functools.lru_cache(maxsize=16)
+def _discretization(grid: Grid, N: int, steps: tuple[int, ...],
+                    mats: bytes) -> Discretization:
+    n, size = grid.n, grid.n * N
+    D = _deriv_matrix(n, grid.h)
+    coupling = _coupling(n, N, steps, mats)
+    Dc = D.tocoo()
+    comp = np.arange(N)
+    Cc = coupling.C.tocoo()
+    diag = np.arange(size)
+    rows = np.concatenate([(Dc.row[:, None] * N + comp).ravel(), Cc.row, diag])
+    cols = np.concatenate([(Dc.col[:, None] * N + comp).ravel(), Cc.col, diag])
+    keys, slots = np.unique(rows.astype(np.int64) * size + cols, return_inverse=True)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // size, minlength=size))])
+    kron_vals = np.repeat(Dc.data, N)
+    weights = trapezoid_weights(grid)
+    _read_only(D.data, weights, kron_vals, slots)
+    return Discretization(D=D, weights=weights,
+                          coupling=coupling, kron_vals=kron_vals, slots=slots,
+                          indices=(keys % size).astype(np.int32),
+                          indptr=indptr.astype(np.int32))
+
+
+def discretize(problem: WaveProblem, grid: Grid) -> Discretization:
+    """The cached discretization of the problem's effective coupling on grid;
+    raises IncommensurableShiftError when a shift is off the grid."""
+    shifts, mats = problem.effective_coupling()
+    N = problem.dimension
+    steps = _grid_steps(shifts, grid.h)
+    mats = np.asarray(mats, dtype=float).reshape(len(steps), N, N)
+    return _discretization(grid, N, steps, mats.tobytes())
+
+
+def initial_guess(grid: Grid, width: float = math.sqrt(2.0), components: int = 1) -> np.ndarray:
+    if width <= 0.0:
+        raise ValueError("front width must be positive")
+    front = 1.0 / (1.0 + np.exp(-grid.xi / width))
+    return np.tile(front[:, None], (1, components))
+
+
+def assemble_residual(problem: WaveProblem, grid: Grid, profile: np.ndarray,
+                      c: float) -> np.ndarray:
+    disc = discretize(problem, grid)
+    return c * (disc.D @ profile) - disc.coupling.apply(profile) + problem.F(profile)
+
+
 def linearization_matrix(problem: WaveProblem, grid: Grid, profile: np.ndarray,
                          c: float) -> sp.csr_matrix:
     """Discrete  v -> c v' - sum_j A_j v(. + r_j) + F'(phi) v  (n N square)."""
-    n, N = profile.shape
-    D = _deriv_matrix(grid.n, grid.h)
-    J = c * sp.kron(D, sp.eye(N), format="lil")
-    shifts, mats = problem.effective_coupling()
-    for r, A in zip(shifts, mats):
-        m = round(r / grid.h)
-        if abs(m) >= n:
-            continue
-        S = sp.eye(n, n, k=m)
-        J -= sp.kron(S, sp.csr_matrix(A))
-    J += sp.diags(problem.Fprime(profile).ravel())
-    return J.tocsr()
+    return discretize(problem, grid).linearization(problem.Fprime(profile), c)
 
 
 def assemble_jacobian(problem: WaveProblem, grid: Grid, profile: np.ndarray,
                       c: float, phase_ref_deriv: np.ndarray) -> sp.csr_matrix:
     """Bordered Jacobian: linearization, speed column, phase-condition row."""
-    D = _deriv_matrix(grid.n, grid.h)
-    J = linearization_matrix(problem, grid, profile, c)
-    dc = (D @ profile).reshape(-1, 1)
-    w = trapezoid_weights(grid)
-    phase_row = (w[:, None] * phase_ref_deriv).reshape(1, -1)
+    disc = discretize(problem, grid)
+    J = disc.linearization(problem.Fprime(profile), c)
+    dc = (disc.D @ profile).reshape(-1, 1)
+    phase_row = (disc.weights[:, None] * phase_ref_deriv).reshape(1, -1)
     return sp.bmat([[J, dc], [phase_row, None]], format="csc")
 
 
@@ -288,6 +402,24 @@ def _crossing_location(grid: Grid, values: np.ndarray, level: float) -> float:
     return float(x0 + (level - v0) / (v1 - v0) * (x1 - x0))
 
 
+def align_phase(problem: WaveProblem, grid: Grid, profile: np.ndarray,
+                c: float, level: float, res: np.ndarray):
+    """Translate the profile by a whole number of cells (exact on the grid)
+    so that component 1 crosses `level` nearest to xi = 0.
+
+    Returns (profile, residual, crossing); the residual `res` of the
+    unshifted profile is reassembled only when the profile moved, and the
+    crossing is the interpolated sub-grid location, the phase datum.
+    """
+    loc = _crossing_location(grid, profile[:, 0], level)
+    cells = int(round(loc / grid.h))
+    if cells != 0:
+        profile = shifted_profile(profile, cells)
+        res = assemble_residual(problem, grid, profile, c)
+        loc = _crossing_location(grid, profile[:, 0], level)
+    return profile, res, loc
+
+
 def newton_solve(problem: WaveProblem, grid: Grid, profile0: np.ndarray,
                  c0: float, tol: float = 1e-10, max_iter: int = 50,
                  max_damping: int = 8, tail_tol: float = 1e-3,
@@ -300,15 +432,11 @@ def newton_solve(problem: WaveProblem, grid: Grid, profile0: np.ndarray,
     n, N = profile.shape
     if n != grid.n:
         raise ValueError("profile does not match the grid")
-    for r in problem.all_shifts:
-        if abs(r / grid.h - round(r / grid.h)) > 1e-12 * max(1.0, abs(r / grid.h)):
-            raise IncommensurableShiftError(
-                f"shift r={r} incommensurable with grid spacing h={grid.h}")
 
-    D = _deriv_matrix(grid.n, grid.h)
+    disc = discretize(problem, grid)
     phase_ref = profile.copy()
-    phase_ref_deriv = D @ phase_ref
-    w = trapezoid_weights(grid)
+    phase_ref_deriv = disc.D @ phase_ref
+    w = disc.weights
     c = float(c0)
 
     def phase_value(p):
@@ -389,17 +517,9 @@ def newton_solve(problem: WaveProblem, grid: Grid, profile0: np.ndarray,
             f"|phi(L)-1|={tails[1]:.2e}); enlarge L — tails decay at the "
             "rates reported by the tails module", tail_values=tails)
 
-    # align by a whole number of cells (exact translation), record the
-    # interpolated sub-grid crossing as the phase datum
-    loc = _crossing_location(grid, profile[:, 0], phase_level)
-    cells = int(round(loc / grid.h))
-    if cells != 0:
-        profile = shifted_profile(profile, cells)
-        res = assemble_residual(problem, grid, profile, c)
-        res_norm = float(np.max(np.abs(res)))
-        loc = _crossing_location(grid, profile[:, 0], phase_level)
-
-    return WaveSolution(grid=grid, c=c, profile=profile, residual_norm=res_norm,
+    profile, res, loc = align_phase(problem, grid, profile, c, phase_level, res)
+    return WaveSolution(grid=grid, c=c, profile=profile,
+                        residual_norm=float(np.max(np.abs(res))),
                         newton_iters=iters, phase_component=0,
                         phase_level=phase_level, phase_location=loc,
                         pinning_suspected=bool(abs(c) < 1e-6))
@@ -410,7 +530,90 @@ class KernelData:
     psi_plus: np.ndarray
     psi_minus: np.ndarray
     kernel_dim: int
-    singular_values: np.ndarray
+    s_max: float                          # largest singular value
+    smallest_singular_values: np.ndarray  # ascending, at least three
+
+
+def _largest_singular_value(L: sp.csr_matrix) -> float:
+    """sqrt of the top eigenvalue of the banded symmetric L^T L."""
+    G = (L.T @ L).tocoo()
+    upper = G.row <= G.col
+    row, col = G.row[upper], G.col[upper]
+    u = int(np.max(col - row))
+    band = np.zeros((u + 1, G.shape[0]))
+    band[u + row - col, col] = G.data[upper]
+    top = G.shape[0] - 1
+    lam = sla.eig_banded(band, eigvals_only=True, select="i",
+                         select_range=(top, top))
+    return math.sqrt(max(float(lam[0]), 0.0))
+
+
+def _factor(L: sp.csr_matrix, s_max: float):
+    """splu of L; when SuperLU finds an exactly zero pivot, splu of
+    L + delta I with delta = machine eps * s_max.  That shift is a backward
+    error of one rounding unit, far below any rel_tol * s_max threshold, so
+    the exact kernel keeps singular values of order delta or below."""
+    A = L.tocsc()
+    try:
+        return spla.splu(A)
+    except RuntimeError:
+        delta = np.finfo(float).eps * s_max
+        shifted = (A + delta * sp.identity(A.shape[0], format="csc")).tocsc()
+        try:
+            return spla.splu(shifted)
+        except RuntimeError as exc:
+            raise SingularSystemError(
+                "linearization stays exactly singular after a shift by "
+                f"{delta:.3e}") from exc
+
+
+def _deflated_inverse(lu, left: np.ndarray, right: np.ndarray):
+    """L^-1 from its LU factors, with the known left singular vectors of L
+    (columns of `left`) projected out of its input and the matching right
+    ones out of its output; the transpose the other way round."""
+
+    def solve(x, vin, vout, trans):
+        x = x - vin @ (vin.T @ x)
+        y = lu.solve(np.ascontiguousarray(x), trans=trans)
+        return y - vout @ (vout.T @ y)
+
+    return spla.LinearOperator(
+        lu.shape, dtype=float,
+        matvec=lambda x: solve(x, left, right, "N"),
+        rmatvec=lambda x: solve(x, right, left, "T"))
+
+
+def _smallest_singular(lu, threshold: float):
+    """Smallest singular values of L, ascending, with their left singular
+    vectors as rows, until one value is at least `threshold`.
+
+    Each pass takes the three largest singular values of L^-1 from svds on
+    the LU factors, with the vectors found so far deflated on both sides.  A
+    pass that finds values below the threshold deflates them and runs
+    again: svds on L^-1 resolves values only to about eps / sigma_min
+    relative to sigma_min^-1, which would swamp sigma_2, sigma_3 when
+    sigma_min is orders of magnitude smaller.
+    """
+    size = lu.shape[0]
+    left = np.empty((size, 0))
+    right = np.empty((size, 0))
+    sigma = np.empty(0)
+    v0 = np.random.default_rng(0).standard_normal(size)
+    while left.shape[1] < size - 1:
+        k = min(3, size - 1 - left.shape[1])
+        # left singular vectors of L^-1 are right ones of L, and vice versa
+        r, s_inv, lh = spla.svds(_deflated_inverse(lu, left, right), k=k, v0=v0)
+        order = np.argsort(-s_inv)
+        new = 1.0 / s_inv[order]
+        below = new < threshold
+        if not below.any() or left.shape[1] + k == size - 1:
+            return (np.concatenate([sigma, new]),
+                    np.concatenate([left.T, lh[order]]))
+        keep = order[below]
+        sigma = np.concatenate([sigma, new[below]])
+        left = np.column_stack([left, lh[keep].T])
+        right = np.column_stack([right, r[:, keep]])
+    return sigma, left.T
 
 
 def kernel_vectors(problem: WaveProblem, grid: Grid, solution: WaveSolution,
@@ -418,25 +621,29 @@ def kernel_vectors(problem: WaveProblem, grid: Grid, solution: WaveSolution,
     """Approximate kernel elements of the linearization and its adjoint.
 
     psi_plus is the normalized discrete profile derivative; psi_minus the
-    left singular vector of the discretized linearization at the smallest
-    singular value.  The kernel dimension estimate counts singular values
-    below rel_tol times the largest.
+    left singular vector of the discretized linearization L at its smallest
+    singular value.  The smallest singular values come from svds on one
+    sparse LU factorization of L and s_max from the banded L^T L.  The
+    kernel dimension counts singular values below rel_tol * s_max; the
+    values are computed until one is not below.
     """
     n, N = solution.profile.shape
-    D = _deriv_matrix(grid.n, grid.h)
-    w = trapezoid_weights(grid)
-    psi_plus = D @ solution.profile
+    disc = discretize(problem, grid)
+    w = disc.weights
+    psi_plus = disc.D @ solution.profile
     psi_plus = psi_plus / math.sqrt(inner(w, psi_plus, psi_plus))
 
-    Lmat = linearization_matrix(problem, grid, solution.profile, solution.c).toarray()
-    U, s, _Vt = np.linalg.svd(Lmat)
-    kernel_dim = int(np.sum(s < rel_tol * s[0]))
-    psi_minus = U[:, -1].reshape(n, N)
+    L = disc.linearization(problem.Fprime(solution.profile), solution.c)
+    s_max = _largest_singular_value(L)
+    threshold = rel_tol * s_max
+    smallest, left = _smallest_singular(_factor(L, s_max), threshold)
+    psi_minus = left[0].reshape(n, N)
     if inner(w, psi_plus, psi_minus) < 0.0:
         psi_minus = -psi_minus
     psi_minus = psi_minus / math.sqrt(inner(w, psi_minus, psi_minus))
     return KernelData(psi_plus=psi_plus, psi_minus=psi_minus,
-                      kernel_dim=kernel_dim, singular_values=s)
+                      kernel_dim=int(np.sum(smallest < threshold)), s_max=s_max,
+                      smallest_singular_values=smallest)
 
 
 # ---------------------------------------------------------------------------

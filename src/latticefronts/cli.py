@@ -325,7 +325,7 @@ def cmd_solve_wave(cfg, out, h):
     payload = sol.to_json()
     payload["kernel_dim"] = kd.kernel_dim
     payload["smallest_singular_values"] = [float(v) for v in
-                                           kd.singular_values[-3:]]
+                                           kd.smallest_singular_values[2::-1]]
     write_json(out / "solution.json", payload, h)
     write_profile_csv(out / "profile.csv", grid.xi, sol.profile, h)
     print(f"c={sol.c:.10g} residual={sol.residual_norm:.3e} "

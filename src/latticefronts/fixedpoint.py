@@ -19,10 +19,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .bvp import (Grid, KernelData, WaveProblem, WaveSolution, _deriv_matrix,
-                  _crossing_location, apply_coupling, assemble_residual, inner,
-                  kernel_vectors, linearization_matrix, shifted_profile,
-                  trapezoid_weights)
+from .bvp import (Coupling, Discretization, Grid, KernelData, WaveProblem,
+                  WaveSolution, align_phase, assemble_residual,
+                  coupling_operator, discretize, inner, kernel_vectors)
 
 __all__ = [
     "FixedPointContext",
@@ -64,6 +63,8 @@ class FixedPointContext:
     kernel: KernelData
     delta_hat: float
     C0_estimate: float
+    disc: Discretization          # of the base (eps = 0) problem
+    perturbation: Coupling        # B, the coupling eps scales
 
     @property
     def eps(self) -> float:
@@ -109,9 +110,9 @@ def make_context(problem: WaveProblem, grid: Grid,
             f"reference linearization has numerical kernel dimension "
             f"{kernel.kernel_dim}; the one-dimensional solve-and-project "
             "construction does not apply", kernel_dim=kernel.kernel_dim)
-    w = trapezoid_weights(grid)
-    D = _deriv_matrix(grid.n, grid.h)
-    delta_hat = 0.5 * inner(w, D @ reference.profile, kernel.psi_minus)
+    disc = discretize(base, grid)
+    delta_hat = 0.5 * inner(disc.weights, disc.D @ reference.profile,
+                            kernel.psi_minus)
     if kernel.kernel_dim >= 1 and delta_hat <= 0.0:
         # the positivity hypothesis belongs to the translational-kernel
         # regime; a pinned reference (kernel_dim 0) pairs degenerately by
@@ -119,12 +120,15 @@ def make_context(problem: WaveProblem, grid: Grid,
         raise KernelObstructionError(
             f"delta_hat = {delta_hat:.3e} is not positive; the adjoint kernel "
             "surrogate pairs degenerately with the profile derivative")
-    s = kernel.singular_values
-    C0 = 1.0 / s[-2] if kernel.kernel_dim >= 1 else 1.0 / s[-1]
+    # inverse of the smallest singular value off the kernel
+    C0 = 1.0 / kernel.smallest_singular_values[min(kernel.kernel_dim, 1)]
+    perturbation = coupling_operator(problem.pert_shifts, problem.pert_matrices,
+                                     grid.n, problem.dimension, grid.h)
     return FixedPointContext(problem=problem, grid=grid,
                              phi0=reference.profile, c0=reference.c,
                              kernel=kernel, delta_hat=float(delta_hat),
-                             C0_estimate=float(C0))
+                             C0_estimate=float(C0), disc=disc,
+                             perturbation=perturbation)
 
 
 def remainder_N(problem: WaveProblem, phi0: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -135,14 +139,12 @@ def remainder_N(problem: WaveProblem, phi0: np.ndarray, psi: np.ndarray) -> np.n
 def apply_B(ctx: FixedPointContext, values: np.ndarray, right: float) -> np.ndarray:
     """Perturbation coupling with end clamping (right = 1 for profile-like
     arguments, 0 for decaying perturbations)."""
-    return apply_coupling(ctx.problem.pert_shifts, ctx.problem.pert_matrices,
-                          values, ctx.grid.h, left=0.0, right=right)
+    return ctx.perturbation.apply(values, right=right)
 
 
 def residual_R(ctx: FixedPointContext, c: float, psi: np.ndarray) -> np.ndarray:
     """(c0 - c)(phi0' + psi') + eps B(phi0 + psi) - N(phi0, psi)."""
-    D = _deriv_matrix(ctx.grid.n, ctx.grid.h)
-    out = (ctx.c0 - c) * (D @ (ctx.phi0 + psi))
+    out = (ctx.c0 - c) * (ctx.disc.D @ (ctx.phi0 + psi))
     if ctx.eps != 0.0:
         out += ctx.eps * apply_B(ctx, ctx.phi0 + psi, right=1.0)
     out -= remainder_N(ctx.problem, ctx.phi0, psi)
@@ -152,8 +154,7 @@ def residual_R(ctx: FixedPointContext, c: float, psi: np.ndarray) -> np.ndarray:
 def speed_update(ctx: FixedPointContext, psi: np.ndarray,
                  check_tol: float = 1e-10) -> float:
     """Unique speed making R(c, psi) orthogonal to the adjoint surrogate."""
-    w = trapezoid_weights(ctx.grid)
-    D = _deriv_matrix(ctx.grid.n, ctx.grid.h)
+    w, D = ctx.disc.weights, ctx.disc.D
     pm = ctx.kernel.psi_minus
     deriv = D @ (ctx.phi0 + psi)
     den = inner(w, D @ ctx.phi0, pm) + inner(w, D @ psi, pm)
@@ -190,12 +191,10 @@ def speed_update(ctx: FixedPointContext, psi: np.ndarray,
 
 
 def _bordered_solver(ctx: FixedPointContext):
-    n, N = ctx.phi0.shape
-    L0 = linearization_matrix(ctx.problem.with_eps(0.0), ctx.grid, ctx.phi0, ctx.c0)
-    w = trapezoid_weights(ctx.grid)
+    L0 = ctx.disc.linearization(ctx.problem.Fprime(ctx.phi0), ctx.c0)
     pp = ctx.kernel.psi_plus
     col = pp.reshape(-1, 1)
-    row = (w[:, None] * pp).reshape(1, -1)
+    row = (ctx.disc.weights[:, None] * pp).reshape(1, -1)
     M = sp.bmat([[L0, col], [row, None]], format="csc")
     return spla.splu(M)
 
@@ -256,12 +255,8 @@ def iterate(ctx: FixedPointContext, tol: float = 1e-10, max_iter: int = 200,
     c = speed_update(ctx, psi)
     profile = ctx.phi0 + psi
     res = assemble_residual(ctx.problem, ctx.grid, profile, c)
-    loc = _crossing_location(ctx.grid, profile[:, 0], phase_level)
-    cells = int(round(loc / ctx.grid.h))
-    if cells != 0:
-        profile = shifted_profile(profile, cells)
-        res = assemble_residual(ctx.problem, ctx.grid, profile, c)
-        loc = _crossing_location(ctx.grid, profile[:, 0], phase_level)
+    profile, res, loc = align_phase(ctx.problem, ctx.grid, profile, c,
+                                    phase_level, res)
     solution = WaveSolution(grid=ctx.grid, c=c, profile=profile,
                             residual_norm=float(np.max(np.abs(res))),
                             newton_iters=len(history), phase_component=0,

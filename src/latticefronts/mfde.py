@@ -12,6 +12,7 @@ axis, at both ends, for the operator and its adjoint.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,6 +66,15 @@ class MFDEOperator:
     def gamma(self, end: int) -> np.ndarray:
         return self.gamma_plus if end > 0 else self.gamma_minus
 
+    @functools.cached_property
+    def _sorted_terms(self):
+        """The shifts in increasing order, as an array, and each end's limit
+        matrices in that order, as (S, N, N) arrays; built on first use."""
+        order = np.argsort(self.shifts, kind="stable")
+        mats = {end > 0: np.array(self.limits(end), dtype=float)[order]
+                for end in (-1, 1)}
+        return np.array(self.shifts)[order], mats
+
 
 # Points per block of a characteristic-matrix stack: the (block, shifts)
 # exponential table stays small whatever the scan length and shift count.
@@ -80,8 +90,8 @@ def characteristic_matrices(op: MFDEOperator, end: int, s) -> np.ndarray:
     """
     s = np.asarray(s, dtype=complex)
     n = op.dimension
-    shifts = np.array(op.shifts)
-    mats = np.array(op.limits(end), dtype=float)
+    shifts, mats = op._sorted_terms
+    mats = mats[end > 0]
     fixed = np.diag(op.gamma(end)).astype(complex)
     eye = np.eye(n)
     out = np.empty((len(s), n, n), dtype=complex)
@@ -93,10 +103,11 @@ def characteristic_matrices(op: MFDEOperator, end: int, s) -> np.ndarray:
             np.multiply(np.exp(np.multiply.outer(blk, shifts))[:, :, None, None],
                         mats, out=t[:, 1:])
         t[:, 0] = (op.c * blk)[:, None, None] * eye + fixed
-        # (c s I + diag(gamma)) - A_1 e^{s r_1} - A_2 e^{s r_2} - ..., in shift
-        # order: the scans' near-tied minima (theta and 2 pi - theta in the
-        # eigenvalue certificate) are decided in the last bits, so the sum
-        # keeps the rounding of the plain per-shift loop, not a matrix product's
+        # (c s I + diag(gamma)) - A_1 e^{s r_1} - A_2 e^{s r_2} - ..., in
+        # increasing shift order: the scans' flat minima are located in the
+        # last bits, so the sum keeps the rounding of a plain per-shift loop,
+        # not a matrix product's, and does not depend on the order in which
+        # the operator lists its shifts
         np.subtract.reduce(t, axis=1, out=out[k:k + _BLOCK])
     return out
 
@@ -153,8 +164,9 @@ class HyperbolicityReport:
 
 
 def _operator_norms(op: MFDEOperator, end: int) -> float:
-    total = sum(float(np.linalg.norm(A, 2)) for A in op.limits(end))
-    return total + float(np.max(np.abs(op.gamma(end))))
+    norms = np.linalg.norm(np.array(op.limits(end), dtype=float), 2, axis=(1, 2))
+    # a left-to-right float sum, so theta_bound rounds as a per-shift loop's
+    return sum(norms.tolist()) + float(np.max(np.abs(op.gamma(end))))
 
 
 def _golden_refine(func, lo, hi, iters=60):
@@ -225,6 +237,12 @@ def _eig_realpart_certificate(op, end, period, grid_points):
     shifts; a zero of det Delta(i theta) at any theta requires one of its
     eigenvalues to be purely imaginary, so a positive lower bound on the
     real parts certifies hyperbolicity for every theta and every speed.
+
+    With real A_j, the c-free symbol at period - theta is the complex
+    conjugate of the one at theta, so the certificate is symmetric about
+    period / 2 and its minima come in mirror pairs.  Only the grid points in
+    [0, period / 2] are scanned and the minimizer is reported in that half,
+    whatever rounding the evaluation order leaves.
     """
     thetas = np.linspace(0.0, period, grid_points)
     eye = np.eye(op.dimension)
@@ -233,14 +251,15 @@ def _eig_realpart_certificate(op, end, period, grid_points):
         q = characteristic_matrices(op, end, 1j * t) - (1j * op.c * t)[:, None, None] * eye
         return np.min(np.abs(np.real(np.linalg.eigvals(q))), axis=-1)
 
-    vals = min_realpart(thetas)
+    vals = min_realpart(thetas[: (grid_points + 1) // 2])
     i = int(np.argmin(vals))
     t, v = _golden_refine(min_realpart, thetas[[max(i - 1, 0)]],
                           thetas[[min(i + 1, len(thetas) - 1)]])
     t, v = float(t[0]), float(v[0])
     if vals[i] < v:
         t, v = float(thetas[i]), float(vals[i])
-    return t, v
+    # a bracket around the last point of the half may refine past the middle
+    return min(t, period - t), v
 
 
 def is_hyperbolic(op: MFDEOperator, end: int, tol: float = 1e-8,

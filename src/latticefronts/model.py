@@ -336,56 +336,90 @@ _DEFAULT_SEED_AXIS = (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5)
 
 
 def _four_site_rhs(u, d1, d2, f):
-    w, x, y, z = u
-    return np.array([
+    """Period-4 equilibrium residual of one state (4,) or a stack (K, 4)."""
+    w, x, y, z = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
+    return np.stack([
         d1 * (z - 2.0 * w + x) + 2.0 * d2 * (y - w) - f(w),
         d1 * (w - 2.0 * x + y) + 2.0 * d2 * (z - x) - f(x),
         d1 * (x - 2.0 * y + z) + 2.0 * d2 * (w - y) - f(y),
         d1 * (y - 2.0 * z + w) + 2.0 * d2 * (x - z) - f(z),
-    ])
+    ], axis=-1)
 
 
 def _four_site_jac(u, d1, d2, f):
+    """Jacobians of `_four_site_rhs` at a stack of states (K, 4): (K, 4, 4)."""
     J = np.array([
         [-2.0 * d1 - 2.0 * d2, d1, 2.0 * d2, d1],
         [d1, -2.0 * d1 - 2.0 * d2, d1, 2.0 * d2],
         [2.0 * d2, d1, -2.0 * d1 - 2.0 * d2, d1],
         [d1, 2.0 * d2, d1, -2.0 * d1 - 2.0 * d2],
     ])
-    return J - np.diag(f.deriv(u))
+    out = np.repeat(J[None], len(u), axis=0)
+    diag = np.arange(4)
+    out[:, diag, diag] -= f.deriv(u)
+    return out
+
+
+def _solve_stack(J, rhs):
+    """Solutions of J_k x = rhs_k and a mask of the solvable systems; a
+    singular J_k leaves its row of x undefined and its mask entry False."""
+    try:
+        return np.linalg.solve(J, rhs[..., None])[..., 0], np.ones(len(J), bool)
+    except np.linalg.LinAlgError:
+        x = np.full_like(rhs, np.nan)
+        solved = np.zeros(len(J), bool)
+        for k in range(len(J)):
+            try:
+                x[k] = np.linalg.solve(J[k], rhs[k])
+                solved[k] = True
+            except np.linalg.LinAlgError:
+                pass
+        return x, solved
 
 
 def find_four_periodic_equilibria(d1: float, d2: float, a: float,
                                   seed_axis=_DEFAULT_SEED_AXIS,
                                   box: tuple[float, float] = (-3.0, 4.0),
                                   max_iter: int = 50) -> list[PeriodicState]:
-    """Newton sweep over a seed grid for the period-4 equilibrium system."""
+    """Newton sweep over a seed grid for the period-4 equilibrium system.
+
+    All seeds iterate together.  A seed stops as converged once its residual
+    is at most 1e-13, and as failed on a singular Jacobian, a non-finite
+    step or a step longer than 10.
+    """
     f = CubicNonlinearity(1.0, a)
     seeds = [s for s in seed_axis if box[0] <= s <= box[1]]
-    found = [np.full(4, v) for v in (0.0, a, 1.0)]
-    grid = np.array(np.meshgrid(seeds, seeds, seeds, seeds)).reshape(4, -1).T
-    for seed in grid:
-        u = seed.astype(float).copy()
-        ok = False
-        for _ in range(max_iter):
-            r = _four_site_rhs(u, d1, d2, f)
-            if np.max(np.abs(r)) <= 1e-13:
-                ok = True
-                break
-            try:
-                step = np.linalg.solve(_four_site_jac(u, d1, d2, f), -r)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 10.0:
-                break
-            u = u + step
-        if ok and np.max(np.abs(_four_site_rhs(u, d1, d2, f))) <= 1e-12:
-            found.append(u)
+    found = np.array([np.full(4, v) for v in (0.0, a, 1.0)], dtype=float)
+    u = np.array(np.meshgrid(seeds, seeds, seeds, seeds)).reshape(4, -1).T.astype(float)
+    active = np.ones(len(u), bool)
+    ok = np.zeros(len(u), bool)
+    for _ in range(max_iter):
+        idx = np.flatnonzero(active)
+        if len(idx) == 0:
+            break
+        r = _four_site_rhs(u[idx], d1, d2, f)
+        done = np.max(np.abs(r), axis=1) <= 1e-13
+        ok[idx[done]] = True
+        active[idx[done]] = False
+        idx, r = idx[~done], r[~done]
+        step, solved = _solve_stack(_four_site_jac(u[idx], d1, d2, f), -r)
+        good = (solved & np.all(np.isfinite(step), axis=1)
+                & (np.max(np.abs(step), axis=1) <= 10.0))
+        active[idx[~good]] = False
+        u[idx[good]] += step[good]
+    conv = u[ok]
+    found = np.concatenate([
+        found, conv[np.max(np.abs(_four_site_rhs(conv, d1, d2, f)), axis=1) <= 1e-12]])
 
-    uniq: list[np.ndarray] = []
-    for u in sorted(found, key=lambda v: tuple(v)):
-        if not any(np.max(np.abs(u - v)) <= 1e-8 for v in uniq):
-            uniq.append(u)
+    # first of each cluster in lexicographic order; an exact repeat never
+    # starts a cluster, so np.unique (sorted rows) only shortens the loop
+    uniq = np.empty_like(found)
+    m = 0
+    for v in np.unique(found, axis=0):
+        if not np.any(np.max(np.abs(uniq[:m] - v), axis=1) <= 1e-8):
+            uniq[m] = v
+            m += 1
+    uniq = uniq[:m]
     return [
         PeriodicState(4, tuple(float(c) for c in u),
                       float(np.max(np.abs(_four_site_rhs(u, d1, d2, f)))))

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from latticefronts import (
+    build_infinite_range,
+    find_four_periodic_equilibria,
     find_two_periodic_equilibria,
+    four_site_problem,
+    four_site_transform,
+    infinite_range_problem,
     two_site_transform,
     two_site_problem,
     nagumo_problem,
@@ -119,4 +124,33 @@ def traveling_two_site_front(traveling_two_site_system):
     """
     problem = two_site_problem(traveling_two_site_system)
     grid, sol = solve_front(problem, c0=0.1)
+    return problem, grid, sol
+
+
+@pytest.fixture(scope="session")
+def four_site_front():
+    """Criterion-11 system (d1 = 0 decouples the sublattices): two
+    translation modes, kernel_dim 2."""
+    states = find_four_periodic_equilibria(0.0, 1.0, 0.3)
+    fs = four_site_transform(0.0, 1.0, 0.3, closest_state(states, (0.0,) * 4),
+                             closest_state(states, (1.0,) * 4))
+    problem = four_site_problem(fs)
+    grid, sol = solve_front(problem, c0=0.15)
+    return problem, grid, sol
+
+
+@pytest.fixture(scope="session")
+def infinite_range_front():
+    """Criterion-10 operator at k_num = 40: the translation mode sits at
+    2e-6 of the largest singular value, above the 1e-6 kernel threshold."""
+    problem = infinite_range_problem(build_infinite_range(0.3, 0.5, 1.0, 1, 40), 0.1)
+    grid, sol = solve_front(problem, c0=0.25)
+    return problem, grid, sol
+
+
+@pytest.fixture(scope="session")
+def eps_scaled_front():
+    """The eps = 0.1 scaled operator on grid spacing 0.1 (n = 801)."""
+    problem = epsilon_scaled_problem(1.0, 0.0, 0.3, 0.1)
+    grid, sol = solve_front(problem, h=0.1, c0=0.28)
     return problem, grid, sol

@@ -6,16 +6,23 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from latticefronts import find_two_periodic_equilibria, two_site_transform
 from latticefronts.bvp import (
     DomainTooSmallError,
     IncommensurableShiftError,
+    WaveProblem,
+    WaveSolution,
+    apply_coupling,
     assemble_jacobian,
     assemble_residual,
     epsilon_scaled_problem,
     initial_guess,
     kernel_vectors,
+    linearization_matrix,
     make_grid,
     nagumo_problem,
     newton_solve,
@@ -25,6 +32,7 @@ from latticefronts.bvp import (
     _deriv_matrix,
     inner,
 )
+from latticefronts.model import CubicNonlinearity
 
 PDE_SPEED = math.sqrt(0.5) * (1.0 - 2.0 * 0.3)   # continuum front speed, a = 0.3
 
@@ -204,7 +212,6 @@ def test_kernel_of_traveling_front_is_one_dimensional(nagumo_front):
 
 
 def test_kernel_vectors_annihilated_by_linearization(nagumo_front):
-    from latticefronts.bvp import linearization_matrix
     problem, grid, sol = nagumo_front
     kd = kernel_vectors(problem, grid, sol)
     L = linearization_matrix(problem, grid, sol.profile, sol.c)
@@ -219,7 +226,7 @@ def test_pinned_wave_has_trivial_kernel(two_site_front):
     problem, grid, sol = two_site_front
     kd = kernel_vectors(problem, grid, sol)
     assert kd.kernel_dim == 0
-    assert kd.singular_values[-1] > 0.1
+    assert kd.smallest_singular_values[0] > 0.1
 
 
 # --------------------------------------------------------------------------
@@ -238,3 +245,113 @@ def test_eps_scaled_matches_continuum_second_difference():
     val = sum(float(A[0, 0]) * u(x0 + r) for r, A in zip(shifts, mats))
     exact = (1.0 + 4.0 * 0.25) * (-1.7**2) * u(x0)
     assert abs(val - exact) <= 5e-2
+
+
+# --------------------------------------------------------------------------
+# sparse operator assembly against per-shift references
+
+def _dense_deriv(n, h):
+    D = np.zeros((n, n))
+    for i in range(1, n - 1):
+        D[i, i - 1], D[i, i + 1] = -0.5 / h, 0.5 / h
+    D[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
+    D[-1, -3:] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
+    return D
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 4), h=st.sampled_from([1.0, 0.5]),
+       data=st.data(), seed=st.integers(0, 2**31 - 1))
+def test_linearization_matches_per_shift_kron_reference(N, h, data, seed):
+    grid = make_grid(30.0 * h, h, (0.0,))
+    n = grid.n
+    steps = data.draw(st.lists(st.integers(-n, n), min_size=1, max_size=6,
+                               unique=True))
+    rng = np.random.default_rng(seed)
+    shifts = tuple(h * m for m in sorted(steps))
+    mats = tuple(rng.uniform(-1.0, 1.0, (N, N)) for _ in shifts)
+    cubics = tuple(CubicNonlinearity(rng.uniform(0.5, 1.0), rng.uniform(0.1, 0.9))
+                   for _ in range(N))
+    problem = WaveProblem(shifts=shifts, matrices=mats, cubics=cubics)
+    profile = rng.uniform(-0.5, 1.5, (n, N))
+    c = rng.uniform(-1.0, 1.0)
+
+    ref = c * sp.kron(_dense_deriv(n, h), sp.eye(N))
+    for r, A in zip(shifts, mats):
+        ref = ref - sp.kron(sp.eye(n, n, k=round(r / h)), A)
+    ref = ref + sp.diags(problem.Fprime(profile).ravel())
+    L = linearization_matrix(problem, grid, profile, c)
+    assert np.max(np.abs((L - ref).toarray())) <= 1e-14
+
+    # the affine coupling C p + b against clamped shifted copies
+    left, right = rng.uniform(-1.0, 1.0, 2)
+    clamped = sum(shifted_profile(profile, round(r / h), left, right) @ A.T
+                  for r, A in zip(shifts, mats))
+    got = apply_coupling(shifts, mats, profile, h, left=left, right=right)
+    assert np.max(np.abs(got - clamped)) <= 1e-13
+
+
+# --------------------------------------------------------------------------
+# sparse kernel extraction against a dense SVD
+
+def dense_kernel_reference(problem, grid, sol, rel_tol=1e-6):
+    """Descending singular values of the dense linearization, its kernel
+    dimension and the left singular vector at the smallest value."""
+    L = linearization_matrix(problem, grid, sol.profile, sol.c).toarray()
+    U, s, _ = np.linalg.svd(L)
+    return s, int(np.sum(s < rel_tol * s[0])), U[:, -1]
+
+
+@pytest.fixture(scope="module")
+def decoupled_nagumo_copies(nagumo_front):
+    """Four uncoupled copies of the Nagumo front: four translation modes, so
+    every value of the first three-value pass lies below the threshold."""
+    problem, grid, sol = nagumo_front
+    eye = np.eye(4)
+    copies = WaveProblem(shifts=problem.shifts,
+                         matrices=tuple(A[0, 0] * eye for A in problem.matrices),
+                         cubics=problem.cubics * 4)
+    return copies, grid, dataclasses.replace(sol, profile=np.tile(sol.profile, (1, 4)))
+
+
+@pytest.mark.parametrize("fixture, dim", [
+    ("nagumo_front", 1), ("traveling_two_site_front", 1), ("two_site_front", 0),
+    ("four_site_front", 2), ("infinite_range_front", 0), ("eps_scaled_front", 1),
+    ("decoupled_nagumo_copies", 4)])
+def test_kernel_matches_dense_svd(request, fixture, dim):
+    problem, grid, sol = request.getfixturevalue(fixture)
+    kd = kernel_vectors(problem, grid, sol)
+    s, ref_dim, ref_psi = dense_kernel_reference(problem, grid, sol)
+    assert kd.kernel_dim == ref_dim == dim
+    assert abs(kd.s_max - s[0]) <= 1e-12 * s[0]
+    got = kd.smallest_singular_values
+    assert len(got) >= 3 and np.all(np.diff(got) >= 0.0)
+    ref = s[::-1][:len(got)]
+    resolved = ref >= 1e-11 * s[0]
+    assert np.all(np.abs(got - ref)[resolved] <= 1e-6 * ref[resolved])
+    if s[-2] >= 2.0 * s[-1]:
+        psi = kd.psi_minus.ravel()
+        cos = abs(float(psi @ ref_psi)) / np.linalg.norm(psi)
+        assert cos >= 1.0 - 1e-8
+
+
+def test_kernel_of_exactly_singular_linearization():
+    # no coupling and no reaction: L = D, whose constant kernel leaves
+    # SuperLU an exactly zero pivot at h = 1, so the shifted retry runs
+    problem = WaveProblem(shifts=(0.0,), matrices=(np.zeros((1, 1)),),
+                          cubics=(CubicNonlinearity(0.0, 0.3),))
+    grid = make_grid(40.0, 1.0, problem.all_shifts)
+    sol = WaveSolution(grid=grid, c=1.0, profile=initial_guess(grid),
+                       residual_norm=0.0, newton_iters=0, phase_component=0,
+                       phase_level=0.5, phase_location=0.0,
+                       pinning_suspected=False)
+    L = linearization_matrix(problem, grid, sol.profile, sol.c)
+    with pytest.raises(RuntimeError, match="exactly singular"):
+        spla.splu(L.tocsc())
+    kd = kernel_vectors(problem, grid, sol)
+    s, ref_dim, _ = dense_kernel_reference(problem, grid, sol)
+    assert kd.kernel_dim == ref_dim == 1
+    assert kd.smallest_singular_values[0] <= 1e-14 * kd.s_max
+    assert kd.smallest_singular_values[1:3] == pytest.approx(s[::-1][1:3], rel=1e-6)
+    # psi_minus spans the cokernel of D
+    assert np.linalg.norm(L.T @ kd.psi_minus.ravel()) <= 1e-12

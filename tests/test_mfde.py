@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticefronts import build_infinite_range, infinite_range_problem
 from latticefronts.mfde import (
     MFDEOperator,
     StandingWaveError,
@@ -236,6 +237,45 @@ def test_standing_wave_uses_periodic_certificate():
     entry = is_hyperbolic(op, -1)
     assert entry.method == "eig-realpart-certificate"
     assert entry.verdict
+
+
+def _relisted(op, perm):
+    return MFDEOperator(shifts=tuple(op.shifts[i] for i in perm),
+                        limits_minus=tuple(op.limits_minus[i] for i in perm),
+                        limits_plus=tuple(op.limits_plus[i] for i in perm),
+                        c=op.c, gamma_minus=op.gamma_minus, gamma_plus=op.gamma_plus)
+
+
+@pytest.mark.parametrize("params", [
+    # interior minima at theta = 0.746 and 2 pi - 0.746 (= 5.537)
+    (0.01542058972349973, -0.020663905069843974, 0.0195251021118584,
+     0.04658268061775628, (0.9292342295243398, 0.6448046431658381),
+     (0.5721275416787188, 0.5588961190391841), 2.2339272964077378e-05),
+    # a flat minimum near theta = 2.0, placed by the last bits of Delta
+    (-0.049861542394898956, 0.03432858478081985, 0.009258779777411597,
+     0.8166796676840568, (0.8237184720994463, 0.8988129733375111),
+     (0.67394225401385, 0.8220315364956179), 3.951309410855627e-05)])
+def test_certificate_entry_independent_of_shift_listing(params):
+    op = two_site_operator(*params)
+    entry = is_hyperbolic(op, -1)
+    assert entry.method == "eig-realpart-certificate"
+    # of each mirror pair theta, 2 pi - theta the one in [0, pi] is reported
+    assert 0.0 <= entry.theta_at_min <= math.pi
+    for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+        other = is_hyperbolic(_relisted(op, perm), -1)
+        assert abs(other.theta_at_min - entry.theta_at_min) <= 1e-9
+        assert abs(other.min_modulus - entry.min_modulus) <= 1e-14 * entry.min_modulus
+
+
+def test_theta_bound_sums_per_shift_spectral_norms():
+    problem = infinite_range_problem(build_infinite_range(0.3, 0.5, 1.0, 1, 80), 0.1)
+    op = problem.operator(0.26)
+    for end in (-1, 1):
+        total = 0
+        for A in op.limits(end):
+            total += float(np.linalg.norm(A, 2))
+        want = (total + float(np.max(np.abs(op.gamma(end)))) + 1.0) / abs(op.c)
+        assert is_hyperbolic(op, end).theta_bound == want
 
 
 def test_standing_wave_incommensurable_shifts_unsupported():

@@ -147,6 +147,44 @@ def test_four_periodic_contains_homogeneous():
         assert min(np.max(np.abs(arr - hom)) for arr in arrays) <= 1e-9
 
 
+def reference_four_periodic_sweep(d1, d2, a):
+    """One Newton loop per seed, as the sweep was first written."""
+    from latticefronts.model import _DEFAULT_SEED_AXIS, _four_site_rhs
+    f = CubicNonlinearity(1.0, a)
+    found = [np.full(4, v) for v in (0.0, a, 1.0)]
+    seeds = _DEFAULT_SEED_AXIS
+    for seed in np.array(np.meshgrid(seeds, seeds, seeds, seeds)).reshape(4, -1).T:
+        u = seed.astype(float).copy()
+        ok = False
+        for _ in range(50):
+            r = _four_site_rhs(u, d1, d2, f)
+            if np.max(np.abs(r)) <= 1e-13:
+                ok = True
+                break
+            w, x, y, z = -2.0 * d1 - 2.0 * d2, d1, 2.0 * d2, d1
+            J = np.array([[w, x, y, z], [z, w, x, y], [y, z, w, x], [x, y, z, w]])
+            try:
+                step = np.linalg.solve(J - np.diag(f.deriv(u)), -r)
+            except np.linalg.LinAlgError:
+                break
+            if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 10.0:
+                break
+            u = u + step
+        if ok and np.max(np.abs(_four_site_rhs(u, d1, d2, f))) <= 1e-12:
+            found.append(u)
+    uniq = []
+    for u in sorted(found, key=lambda v: tuple(v)):
+        if not any(np.max(np.abs(u - v)) <= 1e-8 for v in uniq):
+            uniq.append(u)
+    return [tuple(float(c) for c in u) for u in uniq]
+
+
+@pytest.mark.parametrize("d1, d2, a", [(0.0, 1.0, 0.3), (-0.05, 0.01, 0.5)])
+def test_four_periodic_sweep_matches_per_seed_loop(d1, d2, a):
+    states = find_four_periodic_equilibria(d1, d2, a)
+    assert [st.values for st in states] == reference_four_periodic_sweep(d1, d2, a)
+
+
 def test_four_site_transform_decoupled_chains():
     # d1 = 0 splits the lattice into two interleaved distance-2 chains;
     # the transform must reflect that in an exactly block-decoupled system

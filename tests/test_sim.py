@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from latticefronts.model import build_nagumo
+from latticefronts.model import build_infinite_range, build_nagumo
 from latticefronts.sim import (
+    _lattice_rhs,
     NoFrontError,
     SimState,
     check_monotonicity,
@@ -63,6 +64,43 @@ def test_front_stays_monotone_under_integration(nagumo_traj):
     report = check_monotonicity(last)
     assert report.monotone
     assert report.direction == 1
+
+
+def reference_rhs(model, u, left_v, right_v):
+    """Per-coupling loop over the sites padded with the boundary pattern."""
+    M, p = len(u), model.k_max
+    idx = np.arange(-p, M + p)
+    padded = np.empty(M + 2 * p)
+    padded[p: p + M] = u
+    padded[:p] = left_v[idx[:p] % model.period]
+    padded[p + M:] = right_v[idx[p + M:] % model.period]
+    out = np.zeros(M)
+    for (n, k), a in model.couplings.items():
+        sel = np.arange(n, M, model.period)
+        out[sel] += a * padded[sel + k + p]
+    for n in range(model.period):
+        sel = np.arange(n, M, model.period)
+        out[sel] -= model.cubics[n](u[sel])
+    pinned = max(p, 1)
+    out[:pinned] = 0.0
+    out[-pinned:] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("model, exact", [
+    (build_nagumo(1.0, 0.0, 0.3), True),
+    (build_infinite_range(0.3, 0.5, 1.0, 1, 40).full_model(0.1), False)])
+def test_rhs_matches_per_coupling_loop(model, exact):
+    init = front_state(model, 400)
+    u = init.sites + 0.01 * np.random.default_rng(4).standard_normal(400)
+    got = _lattice_rhs(model, 400)(u)
+    want = reference_rhs(model, u, init.left_values, init.right_values)
+    if exact:
+        # three couplings per site, summed in the loop's order
+        assert np.array_equal(got, want)
+    else:
+        # 81 couplings per site, summed in column order instead
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 # --------------------------------------------------------------------------
