@@ -161,9 +161,16 @@ def _meta_line(h: str) -> str:
 
 
 def write_csv(path: Path, header: str, rows, h: str):
-    lines = [_meta_line(h), header]
-    lines.extend(rows)
-    path.write_text("\n".join(lines) + "\n")
+    """Meta line, header, then each item of ``rows`` as it comes.
+
+    An item is one line or a block of lines joined by newlines, without a
+    trailing one; a generator of blocks is written without being held whole.
+    """
+    with open(path, "w") as f:
+        f.write(f"{_meta_line(h)}\n{header}\n")
+        for block in rows:
+            f.write(block)
+            f.write("\n")
 
 
 def write_json(path: Path, obj: dict, h: str):
@@ -176,8 +183,8 @@ def write_json(path: Path, obj: dict, h: str):
 def write_profile_csv(path: Path, xi, profile, h: str):
     N = profile.shape[1]
     header = "xi," + ",".join(f"u{i + 1}" for i in range(N))
-    rows = [",".join([_g17(x)] + [_g17(v) for v in row])
-            for x, row in zip(xi, profile)]
+    rows = (",".join([_g17(x)] + [_g17(v) for v in row])
+            for x, row in zip(xi, profile))
     write_csv(path, header, rows, h)
 
 
@@ -400,10 +407,11 @@ def cmd_simulate(cfg, out, h):
     speed = measure_speed(traj, level=sc["level"])
     xi, prof, scatter, warn = extract_profile(traj, speed.c_measured)
     mono = check_monotonicity(prof)
-    rows = []
-    for t, snap in zip(traj.times, traj.states):
-        rows.extend(f"{_g17(t)},{n},{_g17(v)}" for n, v in enumerate(snap))
-    write_csv(out / "trajectory.csv", "t,site,value", rows, h)
+    # one block per snapshot: t is formatted once, the site numbers are fixed
+    tmpl = "\n".join(f"{{0}},{n},{{{n + 1}:.17g}}" for n in range(traj.sites))
+    blocks = (tmpl.format(_g17(t), *snap.tolist())
+              for t, snap in zip(traj.times, traj.states))
+    write_csv(out / "trajectory.csv", "t,site,value", blocks, h)
     write_profile_csv(out / "profile.csv", xi, prof, h)
     write_json(out / "speed.json", {
         "c_measured": speed.c_measured, "fit_residual": speed.fit_residual,

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+# the kernel behind csr_matrix @ vector, here called with a preallocated output
+from scipy.sparse._sparsetools import csr_matvec
 
 from .model import LatticeModel
 
@@ -111,7 +113,12 @@ def _lattice_rhs(model: LatticeModel, M: int):
 
     max(k_max, 1) cells are pinned at each end, so every coupling that
     reaches past an end starts from a pinned cell: C holds only on-chain
-    couplings of the free cells, and the boundary values never enter.
+    couplings of the free cells, and the boundary values never enter.  The
+    reaction coefficient is zero on the pinned cells.
+
+    The returned ``rhs(u, out=None)`` writes into ``out`` when one is given.
+    It keeps its scratch vectors between calls, so one ``rhs`` serves one
+    integration at a time.
     """
     pinned = max(model.k_max, 1)
     site = np.arange(M)
@@ -123,42 +130,70 @@ def _lattice_rhs(model: LatticeModel, M: int):
         vals.append(np.full(len(sel), a))
     C = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(M, M))
-    k_site = np.array([f.k for f in model.cubics])[site % model.period]
+    k_free = np.array([f.k for f in model.cubics])[site % model.period]
+    k_free[:pinned] = 0.0
+    k_free[M - pinned:] = 0.0
     a_site = np.array([f.a for f in model.cubics])[site % model.period]
-    free = np.zeros(M)
-    free[pinned:M - pinned] = 1.0
+    reaction, diff = np.empty(M), np.empty(M)
 
-    def rhs(u: np.ndarray) -> np.ndarray:
-        return C @ u - free * (k_site * u * (u - a_site) * (u - 1.0))
+    def rhs(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(M)
+        out.fill(0.0)
+        csr_matvec(M, M, C.indptr, C.indices, C.data, u, out)  # out += C u
+        # k u (u - a) (u - 1), multiplied left to right
+        np.multiply(k_free, u, out=reaction)
+        np.subtract(u, a_site, out=diff)
+        np.multiply(reaction, diff, out=reaction)
+        np.subtract(u, 1.0, out=diff)
+        np.multiply(reaction, diff, out=reaction)
+        return np.subtract(out, reaction, out=out)
     return rhs
 
 
 def integrate(model: LatticeModel, init: SimState, dt: float, T: float,
               stride: int = 1) -> Trajectory:
-    """Classical RK4 with fixed step; boundary cells pinned every stage."""
+    """Classical RK4 with fixed step; boundary cells pinned every stage.
+
+    Records the initial state, every ``stride``-th step and the last step.
+    The stages run in preallocated buffers, in the operation order of
+    u + (dt/6) (k1 + 2 k2 + 2 k3 + k4) with k2 = f(u + (dt/2) k1) etc.
+    """
     dt_max = stability_dt_max(model)
     if dt > dt_max:
         raise ValueError(f"dt={dt} exceeds the stability guard dt_max={dt_max:.6g}")
+    if stride < 1:
+        raise ValueError(f"stride={stride} must be a positive integer")
     u = np.array(init.sites, dtype=float)
-    rhs = _lattice_rhs(model, len(u))
+    M = len(u)
+    rhs = _lattice_rhs(model, M)
     steps = int(round(T / dt))
+    states = np.empty((1 + steps // stride + (steps % stride != 0), M))
+    states[0] = u
     times = [init.t]
-    states = [u.copy()]
-    lv, rv = init.left_values, init.right_values
+    k1, k2, k3, k4, w = (np.empty(M) for _ in range(5))
+    finite = np.empty(M, dtype=bool)
+    half, sixth = 0.5 * dt, dt / 6.0
     for step in range(1, steps + 1):
-        k1 = rhs(u)
-        k2 = rhs(u + 0.5 * dt * k1)
-        k3 = rhs(u + 0.5 * dt * k2)
-        k4 = rhs(u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(u)):
+        rhs(u, out=k1)
+        np.add(u, np.multiply(half, k1, out=w), out=w)
+        rhs(w, out=k2)
+        np.add(u, np.multiply(half, k2, out=w), out=w)
+        rhs(w, out=k3)
+        np.add(u, np.multiply(dt, k3, out=w), out=w)
+        rhs(w, out=k4)
+        np.add(k1, np.multiply(2.0, k2, out=w), out=w)
+        np.add(w, np.multiply(2.0, k3, out=k3), out=w)
+        np.add(w, k4, out=w)
+        np.add(u, np.multiply(sixth, w, out=w), out=u)
+        if not np.isfinite(u, out=finite).all():
             raise BlowUpError(f"non-finite state at t={init.t + step * dt:.6g}",
                               time=init.t + step * dt)
         if step % stride == 0 or step == steps:
+            states[len(times)] = u
             times.append(init.t + step * dt)
-            states.append(u.copy())
-    return Trajectory(model=model, times=np.array(times), states=np.array(states),
-                      left_values=lv, right_values=rv)
+    return Trajectory(model=model, times=np.array(times), states=states,
+                      left_values=init.left_values, right_values=init.right_values)
 
 
 def _crossing_position(chain: np.ndarray, positions: np.ndarray, level: float):
@@ -215,13 +250,27 @@ def extract_profile(traj: Trajectory, c: float, window: float = 0.5,
         raise NoFrontError("co-moving windows of the snapshots barely overlap; "
                            "shorten T or enlarge the lattice")
     xi = np.arange(lo, hi, h_out)
-    stacks = np.empty((len(snaps), len(xi), N))
-    for s, (t, snap) in enumerate(zip(times, snaps)):
+
+    def resampled(t, snap):
+        out = np.empty((len(xi), N))
         for i in range(N):
             vals = snap[np.arange(i, traj.sites, N)]
-            stacks[s, :, i] = np.interp(xi, j_idx[: len(vals)] + c * t, vals)
-    mean = stacks.mean(axis=0)
-    scatter = float(np.max(np.abs(stacks - mean[None])))
+            out[:, i] = np.interp(xi, j_idx[: len(vals)] + c * t, vals)
+        return out
+
+    # Running sum, max and min instead of a stack of all snapshots: the sum
+    # adds them in order, as numpy's mean over a stacked first axis does, and
+    # since rounding is monotone the largest |v - mean| is at the largest or
+    # the smallest v, so mean and scatter equal the stacked ones bit for bit.
+    first = resampled(times[0], snaps[0])
+    total, top, bottom = first.copy(), first.copy(), first
+    for t, snap in zip(times[1:], snaps[1:]):
+        prof = resampled(t, snap)
+        total += prof
+        np.maximum(top, prof, out=top)
+        np.minimum(bottom, prof, out=bottom)
+    mean = total / len(snaps)
+    scatter = float(max(np.max(top - mean), np.max(mean - bottom)))
     return xi, mean, scatter, bool(scatter > 0.05)
 
 

@@ -103,10 +103,14 @@ def decay_rates_constant(op: MFDEOperator, end: int, lam_max: float = 20.0,
     return sorted(roots)
 
 
-def principal_eigenpair(matrix: np.ndarray, tol: float = 1e-12,
-                        max_iter: int = 100_000):
+def principal_eigenpair(matrix: np.ndarray):
     """Rightmost eigenvalue with positive eigenvector of an irreducible
-    matrix with nonnegative off-diagonal entries (shifted power iteration)."""
+    matrix with nonnegative off-diagonal entries.
+
+    By Perron-Frobenius that eigenvalue is real and simple, every other
+    eigenvalue has a smaller real part, and its eigenvector has entries of
+    one sign; the vector is scaled so that its largest entry is +1.
+    """
     B = np.asarray(matrix, dtype=float)
     n = B.shape[0]
     off = B - np.diag(np.diag(B))
@@ -119,19 +123,10 @@ def principal_eigenpair(matrix: np.ndarray, tol: float = 1e-12,
             raise ReducibleMatrixError(
                 f"matrix is reducible into {ncomp} strongly connected blocks "
                 f"(labels {labels.tolist()})", blocks=labels)
-    sigma = float(np.max(np.abs(np.diag(B)))) + 1.0
-    S = B + sigma * np.eye(n)
-    v = np.ones(n)
-    lam_old = math.inf
-    for _ in range(max_iter):
-        w = S @ v
-        lam = float(v @ w) / float(v @ v)
-        v = w / np.max(np.abs(w))
-        if abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
-            break
-        lam_old = lam
-    v = v / np.max(np.abs(v))
-    return lam - sigma, v
+    w, V = np.linalg.eig(B)
+    i = int(np.argmax(w.real))
+    v = V[:, i].real
+    return float(w[i].real), v / v[np.argmax(np.abs(v))]
 
 
 def folded_weight_matrix(model: LatticeModel, mu: float) -> np.ndarray:

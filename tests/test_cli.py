@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from latticefronts import __version__
 from latticefronts.cli import (
     ConfigError,
     config_hash,
@@ -11,6 +12,8 @@ from latticefronts.cli import (
     run,
     validate,
 )
+from latticefronts.model import build_nagumo
+from latticefronts.sim import front_state, integrate
 
 
 # --------------------------------------------------------------------------
@@ -178,5 +181,35 @@ def test_artifacts_are_byte_identical_across_runs(tmp_path, capsys):
     run("solve-wave", dict(cfg), tmp_path / "a")
     run("solve-wave", dict(cfg), tmp_path / "b")
     for name in ("solution.json", "profile.csv"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+
+
+SMALL_SIM = {"model": {"kind": "nagumo"},
+             "sim": {"M": 60, "T": 4.0, "stride": 3}}
+
+
+def test_simulate_trajectory_matches_per_row_writer(tmp_path, capsys):
+    assert run("simulate", SMALL_SIM, tmp_path) == 0
+    cfg = validate(SMALL_SIM, "simulate")
+    sc = cfg["sim"]
+    model = build_nagumo(1.0, 0.0, 0.3)
+    init = front_state(model, sc["M"], sc["front_at"], width=sc["width"])
+    traj = integrate(model, init, sc["dt"], sc["T"], stride=sc["stride"])
+    # 200 steps: the last snapshot is not on a stride
+    assert len(traj.times) == 1 + 200 // 3 + 1
+    lines = [f"# latticefronts {__version__} config={config_hash(cfg)}",
+             "t,site,value"]
+    for t, snap in zip(traj.times, traj.states):
+        lines.extend(f"{float(t):.17g},{n},{float(v):.17g}"
+                     for n, v in enumerate(snap))
+    want = ("\n".join(lines) + "\n").encode()
+    assert (tmp_path / "trajectory.csv").read_bytes() == want
+
+
+def test_simulate_artifacts_are_byte_identical_across_runs(tmp_path, capsys):
+    assert run("simulate", dict(SMALL_SIM), tmp_path / "a") == 0
+    assert run("simulate", dict(SMALL_SIM), tmp_path / "b") == 0
+    for name in ("trajectory.csv", "profile.csv", "speed.json"):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes())

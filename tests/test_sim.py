@@ -1,11 +1,16 @@
 """Lattice ODE integration as an independent speed/profile oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from latticefronts.model import build_infinite_range, build_nagumo
+from latticefronts.model import (CubicNonlinearity, LatticeModel, build_infinite_range,
+                                 build_nagumo)
 from latticefronts.sim import (
     _lattice_rhs,
+    BlowUpError,
     NoFrontError,
     SimState,
     check_monotonicity,
@@ -103,6 +108,80 @@ def test_rhs_matches_per_coupling_loop(model, exact):
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
+def reference_integrate(model, init, dt, T, stride):
+    """Allocating RK4 loop: a fresh array per stage, snapshots in a list."""
+    u = np.array(init.sites, dtype=float)
+    rhs = _lattice_rhs(model, len(u))
+    steps = int(round(T / dt))
+    times, states = [init.t], [u.copy()]
+    for step in range(1, steps + 1):
+        k1 = rhs(u)
+        k2 = rhs(u + 0.5 * dt * k1)
+        k3 = rhs(u + 0.5 * dt * k2)
+        k4 = rhs(u + dt * k3)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(u)):
+            raise BlowUpError("non-finite state", time=init.t + step * dt)
+        if step % stride == 0 or step == steps:
+            times.append(init.t + step * dt)
+            states.append(u.copy())
+    return np.array(times), np.array(states)
+
+
+RK4_MODELS = {
+    "nagumo": build_nagumo(1.0, 0.0, 0.3),
+    "nagumo-d2": build_nagumo(1.0, -0.2, 0.35),
+    "ir-k40": build_infinite_range(0.3, 0.5, 1.0, 1, 40).full_model(0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RK4_MODELS))
+def test_integrate_matches_allocating_rk4(name):
+    model = RK4_MODELS[name]
+    init = front_state(model, 400)
+    dt = 0.9 * stability_dt_max(model)
+    # 191, 188 and 143 steps: the last one is not on a stride
+    traj = integrate(model, init, dt, 6.0, stride=7)
+    times, states = reference_integrate(model, init, dt, 6.0, 7)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+
+
+@settings(max_examples=30, deadline=None)
+@given(T=st.floats(0.0, 3.0), dt_frac=st.floats(0.2, 1.0),
+       stride=st.integers(1, 40), start=st.floats(-5.0, 5.0))
+def test_integrate_matches_allocating_rk4_property(T, dt_frac, stride, start):
+    """Any T, dt and stride, whether or not the stride divides the steps."""
+    model = RK4_MODELS["nagumo-d2"]
+    init = dataclasses.replace(front_state(model, 60, front_at=0.4), t=start)
+    dt = dt_frac * stability_dt_max(model)
+    traj = integrate(model, init, dt, T, stride=stride)
+    times, states = reference_integrate(model, init, dt, T, stride)
+    steps = int(round(T / dt))
+    assert len(traj.times) == 1 + steps // stride + (steps % stride != 0)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+
+
+def test_blow_up_time_matches_allocating_rk4(nagumo_model):
+    init = front_state(nagumo_model, 80)
+    seeded = dataclasses.replace(init, sites=init.sites.copy())
+    seeded.sites[40] = 1e200
+    dt = stability_dt_max(nagumo_model)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError) as got:
+            integrate(nagumo_model, seeded, dt, 5.0, stride=10)
+        with pytest.raises(BlowUpError) as want:
+            reference_integrate(nagumo_model, seeded, dt, 5.0, 1)
+    assert got.value.time is not None
+    assert got.value.time == want.value.time
+
+
+def test_integrate_rejects_nonpositive_stride(nagumo_model):
+    with pytest.raises(ValueError):
+        integrate(nagumo_model, front_state(nagumo_model, 60), 0.02, 1.0, stride=0)
+
+
 # --------------------------------------------------------------------------
 # speed measurement
 
@@ -136,6 +215,44 @@ def test_extract_profile_is_a_clean_traveling_wave(nagumo_traj):
     # profile connects the equilibria inside the window
     assert prof[0, 0] <= 0.02
     assert prof[-1, 0] >= 0.98
+
+
+def reference_extract_profile(traj, c, window=0.5, h_out=0.1, margin=2.0):
+    """Every resampled snapshot in one stack; mean and deviations over it."""
+    N = traj.model.period
+    n_keep = max(2, int(round(len(traj.times) * window)))
+    times, snaps = traj.times[-n_keep:], traj.states[-n_keep:]
+    j_idx = np.arange(traj.sites // N, dtype=float)
+    lo = max(j_idx[0] + c * t for t in times) + margin
+    hi = min(j_idx[-1] + c * t for t in times) - margin
+    xi = np.arange(lo, hi, h_out)
+    stacks = np.empty((len(snaps), len(xi), N))
+    for s, (t, snap) in enumerate(zip(times, snaps)):
+        for i in range(N):
+            vals = snap[np.arange(i, traj.sites, N)]
+            stacks[s, :, i] = np.interp(xi, j_idx[: len(vals)] + c * t, vals)
+    mean = stacks.mean(axis=0)
+    return xi, mean, float(np.max(np.abs(stacks - mean[None])))
+
+
+def two_periodic_traj():
+    model = LatticeModel(2, {(0, -1): 1.0, (0, 0): -2.0, (0, 1): 1.0,
+                             (1, -1): 1.0, (1, 0): -2.0, (1, 1): 1.0},
+                         (CubicNonlinearity(1.0, 0.3), CubicNonlinearity(1.5, 0.35)))
+    init = front_state(model, 200, front_at=0.6)
+    return integrate(model, init, stability_dt_max(model), 60.0, stride=4)
+
+
+@pytest.mark.parametrize("case", ["measured", "wrong-speed", "two-periodic"])
+def test_extract_profile_matches_stacked_reference(nagumo_traj, case):
+    traj = two_periodic_traj() if case == "two-periodic" else nagumo_traj
+    c = -0.4 if case == "wrong-speed" else measure_speed(traj).c_measured
+    xi, mean, scatter, _ = extract_profile(traj, c)
+    want_xi, want_mean, want_scatter = reference_extract_profile(traj, c)
+    assert mean.shape[1] == traj.model.period
+    assert np.array_equal(xi, want_xi)
+    assert np.array_equal(mean, want_mean)
+    assert scatter == want_scatter
 
 
 def test_extract_profile_wrong_speed_scatters(nagumo_traj):
