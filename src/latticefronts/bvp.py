@@ -403,13 +403,12 @@ def _crossing_location(grid: Grid, values: np.ndarray, level: float) -> float:
 
 
 def align_phase(problem: WaveProblem, grid: Grid, profile: np.ndarray,
-                c: float, level: float, res: np.ndarray):
-    """Translate the profile by a whole number of cells (exact on the grid)
-    so that component 1 crosses `level` nearest to xi = 0.
-
-    Returns (profile, residual, crossing); the residual `res` of the
-    unshifted profile is reassembled only when the profile moved, and the
-    crossing is the interpolated sub-grid location, the phase datum.
+                c: float, level: float, res: np.ndarray,
+                iters: int) -> WaveSolution:
+    """The wave (profile, c) as a WaveSolution, translated by whole cells
+    (exact on the grid) so that component 1 crosses `level` nearest to
+    xi = 0; `res`, the residual of the unshifted profile, is reassembled
+    only if the profile moved.  The phase location is the sub-grid crossing.
     """
     loc = _crossing_location(grid, profile[:, 0], level)
     cells = int(round(loc / grid.h))
@@ -417,7 +416,11 @@ def align_phase(problem: WaveProblem, grid: Grid, profile: np.ndarray,
         profile = shifted_profile(profile, cells)
         res = assemble_residual(problem, grid, profile, c)
         loc = _crossing_location(grid, profile[:, 0], level)
-    return profile, res, loc
+    return WaveSolution(grid=grid, c=c, profile=profile,
+                        residual_norm=float(np.max(np.abs(res))),
+                        newton_iters=iters, phase_component=0,
+                        phase_level=level, phase_location=loc,
+                        pinning_suspected=bool(abs(c) < 1e-6))
 
 
 def newton_solve(problem: WaveProblem, grid: Grid, profile0: np.ndarray,
@@ -517,12 +520,7 @@ def newton_solve(problem: WaveProblem, grid: Grid, profile0: np.ndarray,
             f"|phi(L)-1|={tails[1]:.2e}); enlarge L — tails decay at the "
             "rates reported by the tails module", tail_values=tails)
 
-    profile, res, loc = align_phase(problem, grid, profile, c, phase_level, res)
-    return WaveSolution(grid=grid, c=c, profile=profile,
-                        residual_norm=float(np.max(np.abs(res))),
-                        newton_iters=iters, phase_component=0,
-                        phase_level=phase_level, phase_location=loc,
-                        pinning_suspected=bool(abs(c) < 1e-6))
+    return align_phase(problem, grid, profile, c, phase_level, res, iters)
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,10 @@ from .continuation import (ContinuationOptions, continue_in_epsilon,
 from .fixedpoint import (ContractionFailureError, KernelObstructionError,
                          StepRejectedError, iterate, make_context)
 from .mfde import StandingWaveError, asymptotic_hyperbolicity, two_site_operator
-from .model import (DecoupledLatticeError, TransformError, build_infinite_range,
-                    build_nagumo, find_four_periodic_equilibria,
-                    find_two_periodic_equilibria, four_site_transform,
-                    two_site_transform)
+from .model import (DecoupledLatticeError, FourSiteSystem, TransformError,
+                    TwoSiteSystem, build_infinite_range, build_nagumo,
+                    find_four_periodic_equilibria, find_two_periodic_equilibria,
+                    four_site_transform, two_site_transform)
 from .sim import (BlowUpError, NoFrontError, check_monotonicity, extract_profile,
                   front_state, integrate, measure_speed)
 from .tails import (NoRealRootError, TailFitError, periodic_decay_rate,
@@ -210,6 +210,21 @@ def _select_pair(states, m):
     return nontrivial[0], nontrivial[-1]
 
 
+def _two_site_system(m: dict) -> TwoSiteSystem:
+    states = find_two_periodic_equilibria(m["d1"], m["a"])
+    minus, plus = _select_pair(states, m)
+    return two_site_transform(m["d1"], m["d2"], m["a"], minus, plus)
+
+
+def _four_site_system(m: dict) -> FourSiteSystem:
+    """Four-site transform of the selected pair, by default 0^4 -> 1^4."""
+    states = find_four_periodic_equilibria(m["d1"], m["d2"], m["a"])
+    if m["minus"] is None and m["plus"] is None and m["minus_index"] is None:
+        m = dict(m, minus=[0.0] * 4, plus=[1.0] * 4)
+    minus, plus = _select_pair(states, m)
+    return four_site_transform(m["d1"], m["d2"], m["a"], minus, plus)
+
+
 def build_problem(m: dict) -> WaveProblem:
     kind = m["kind"]
     if kind == "nagumo":
@@ -217,17 +232,9 @@ def build_problem(m: dict) -> WaveProblem:
     if kind == "eps_scaled":
         return epsilon_scaled_problem(m["d1"], m["d2"], m["a"], m["eps"])
     if kind == "two_site":
-        states = find_two_periodic_equilibria(m["d1"], m["a"])
-        minus, plus = _select_pair(states, m)
-        ts = two_site_transform(m["d1"], m["d2"], m["a"], minus, plus)
-        return two_site_problem(ts, eps=m["eps"])
+        return two_site_problem(_two_site_system(m), eps=m["eps"])
     if kind == "four_site":
-        states = find_four_periodic_equilibria(m["d1"], m["d2"], m["a"])
-        if m["minus"] is None and m["plus"] is None and m["minus_index"] is None:
-            m = dict(m, minus=[0.0] * 4, plus=[1.0] * 4)
-        minus, plus = _select_pair(states, m)
-        fs = four_site_transform(m["d1"], m["d2"], m["a"], minus, plus)
-        return four_site_problem(fs, eps=m["eps"])
+        return four_site_problem(_four_site_system(m), eps=m["eps"])
     if kind == "infinite_range":
         irm = build_infinite_range(m["a"], m["q"], m["scale"], m["k0"], m["k_num"])
         return infinite_range_problem(irm, eps=m["eps"])
@@ -271,15 +278,13 @@ def cmd_equilibria(cfg, out, h):
 
 
 def cmd_transform2(cfg, out, h):
-    m = cfg["model"]
-    states = find_two_periodic_equilibria(m["d1"], m["a"])
-    minus, plus = _select_pair(states, m)
-    ts = two_site_transform(m["d1"], m["d2"], m["a"], minus, plus)
+    ts = _two_site_system(cfg["model"])
     write_json(out / "model.json", {
         "d_e": ts.d_e, "d_o": ts.d_o, "d2": ts.d2,
         "f_e": {"k": ts.f_e.k, "a": ts.f_e.a},
         "f_o": {"k": ts.f_o.k, "a": ts.f_o.a},
-        "provenance": {"minus": list(minus.values), "plus": list(plus.values),
+        "provenance": {"minus": list(ts.minus.values),
+                       "plus": list(ts.plus.values),
                        "middle_root_formula_discrepancy":
                            ts.a_e_formula_discrepancy}}, h)
     print(f"d_e={ts.d_e:.6g} d_o={ts.d_o:.6g} "
@@ -288,19 +293,14 @@ def cmd_transform2(cfg, out, h):
 
 
 def cmd_transform4(cfg, out, h):
-    m = cfg["model"]
-    states = find_four_periodic_equilibria(m["d1"], m["d2"], m["a"])
-    if m["minus"] is None and m["plus"] is None and m["minus_index"] is None:
-        m = dict(m, minus=[0.0] * 4, plus=[1.0] * 4)
-    minus, plus = _select_pair(states, m)
-    fs = four_site_transform(m["d1"], m["d2"], m["a"], minus, plus)
+    fs = _four_site_system(cfg["model"])
     write_json(out / "model.json", {
         "A1": fs.A1.tolist(), "A2": fs.A2.tolist(), "A3": fs.A3.tolist(),
         "A1_ref": fs.A1_ref.tolist(), "A2_ref": fs.A2_ref.tolist(),
         "A3_ref": fs.A3_ref.tolist(), "B2": fs.B2.tolist(),
         "cubics": [{"k": c.k, "a": c.a} for c in fs.cubics],
-        "provenance": {"minus": list(minus.values),
-                       "plus": list(plus.values)}}, h)
+        "provenance": {"minus": list(fs.minus.values),
+                       "plus": list(fs.plus.values)}}, h)
     print("four-site transform written")
     return EXIT_OK
 

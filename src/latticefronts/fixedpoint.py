@@ -136,17 +136,11 @@ def remainder_N(problem: WaveProblem, phi0: np.ndarray, psi: np.ndarray) -> np.n
     return problem.F(phi0 + psi) - problem.F(phi0) - problem.Fprime(phi0) * psi
 
 
-def apply_B(ctx: FixedPointContext, values: np.ndarray, right: float) -> np.ndarray:
-    """Perturbation coupling with end clamping (right = 1 for profile-like
-    arguments, 0 for decaying perturbations)."""
-    return ctx.perturbation.apply(values, right=right)
-
-
 def residual_R(ctx: FixedPointContext, c: float, psi: np.ndarray) -> np.ndarray:
     """(c0 - c)(phi0' + psi') + eps B(phi0 + psi) - N(phi0, psi)."""
     out = (ctx.c0 - c) * (ctx.disc.D @ (ctx.phi0 + psi))
     if ctx.eps != 0.0:
-        out += ctx.eps * apply_B(ctx, ctx.phi0 + psi, right=1.0)
+        out += ctx.eps * ctx.perturbation.apply(ctx.phi0 + psi)
     out -= remainder_N(ctx.problem, ctx.phi0, psi)
     return out
 
@@ -162,8 +156,8 @@ def speed_update(ctx: FixedPointContext, psi: np.ndarray,
     num = -inner(w, Nval, pm)
     num_scale = math.sqrt(inner(w, Nval, Nval))
     if ctx.eps != 0.0:
-        b0 = apply_B(ctx, ctx.phi0, right=1.0)
-        b1 = apply_B(ctx, psi, right=0.0)
+        b0 = ctx.perturbation.apply(ctx.phi0)
+        b1 = ctx.perturbation.apply(psi, right=0.0)
         num += ctx.eps * (inner(w, b0, pm) + inner(w, b1, pm))
         num_scale += abs(ctx.eps) * (math.sqrt(inner(w, b0, b0))
                                      + math.sqrt(inner(w, b1, b1)))
@@ -255,13 +249,8 @@ def iterate(ctx: FixedPointContext, tol: float = 1e-10, max_iter: int = 200,
     c = speed_update(ctx, psi)
     profile = ctx.phi0 + psi
     res = assemble_residual(ctx.problem, ctx.grid, profile, c)
-    profile, res, loc = align_phase(ctx.problem, ctx.grid, profile, c,
-                                    phase_level, res)
-    solution = WaveSolution(grid=ctx.grid, c=c, profile=profile,
-                            residual_norm=float(np.max(np.abs(res))),
-                            newton_iters=len(history), phase_component=0,
-                            phase_level=phase_level, phase_location=loc,
-                            pinning_suspected=bool(abs(c) < 1e-6))
+    solution = align_phase(ctx.problem, ctx.grid, profile, c, phase_level,
+                           res, len(history))
     state = FixedPointState(psi=psi, c_current=c, history=tuple(history),
                             contraction_ratio=lam_hat, delta_hat=ctx.delta_hat,
                             C0_estimate=ctx.C0_estimate, max_psi_norm=max_psi)

@@ -12,9 +12,8 @@ into vector systems connecting the constant states 0 and 1.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,43 +89,6 @@ class LatticeModel:
 
     def coupling(self, n: int, k: int) -> float:
         return self.couplings.get((n % self.period, k), 0.0)
-
-    def coupling_row(self, n: int) -> dict[int, float]:
-        n = n % self.period
-        return {k: v for (m, k), v in self.couplings.items() if m == n}
-
-    def apply_coupling(self, values: np.ndarray) -> np.ndarray:
-        """Apply sum_k a_{n,k} u_{n+k} to a periodic per-site vector."""
-        values = np.asarray(values, dtype=float)
-        p = len(values)
-        out = np.zeros(p)
-        for (n, k), a in self.couplings.items():
-            for m in range(n, p, self.period):
-                out[m] += a * values[(m + k) % p]
-        return out
-
-    def equilibrium_defect(self, values: np.ndarray) -> float:
-        """Max-norm defect of a periodic state (period = len(values))."""
-        values = np.asarray(values, dtype=float)
-        f = np.array([self.cubics[n % self.period](values[n]) for n in range(len(values))])
-        return float(np.max(np.abs(self.apply_coupling(values) - f)))
-
-    def to_json(self) -> dict:
-        return {
-            "period": self.period,
-            "couplings": sorted([[n, k, v] for (n, k), v in self.couplings.items()]),
-            "cubics": [{"k": c.k, "a": c.a} for c in self.cubics],
-            "metadata": self.metadata,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "LatticeModel":
-        return LatticeModel(
-            period=int(data["period"]),
-            couplings={(int(n), int(k)): float(v) for n, k, v in data["couplings"]},
-            cubics=tuple(CubicNonlinearity(float(c["k"]), float(c["a"])) for c in data["cubics"]),
-            metadata=data.get("metadata", ""),
-        )
 
 
 @dataclass(frozen=True)
@@ -211,11 +173,12 @@ def build_nagumo(d1: float, d2: float, a: float) -> LatticeModel:
 
 
 def _bisect(g, lo: float, hi: float, tol: float = 1e-15) -> float:
+    """Root of g in a sign-change bracket, either order, to tol*max(1, |root|)."""
     glo = g(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
-        if gm == 0.0 or hi - lo < tol * max(1.0, abs(mid)):
+        if gm == 0.0 or abs(hi - lo) < tol * max(1.0, abs(mid)):
             return mid
         if (glo < 0) == (gm < 0):
             lo, glo = mid, gm

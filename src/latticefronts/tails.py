@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .mfde import MFDEOperator, characteristic_matrices, characteristic_matrix
-from .model import InfiniteRangeModel, LatticeModel
+from .model import InfiniteRangeModel, LatticeModel, _bisect
 
 __all__ = [
     "TailReport",
@@ -74,7 +74,8 @@ def decay_rates_constant(op: MFDEOperator, end: int, lam_max: float = 20.0,
     The caller picks the smallest positive root at -inf or the largest
     negative root at +inf as the front's decay rate.  The scan covers
     |lambda| <= lam_max, narrowed to |lambda| <= 700 / max|r_j| so that
-    every e^{lambda r_j} stays inside the float range.
+    every e^{lambda r_j} stays inside the float range.  Each sign change
+    is bisected to a bracket narrower than tol * max(1, |lambda|).
     """
     if op.c == 0.0:
         raise ValueError("tail roots need a nonzero speed")
@@ -83,21 +84,9 @@ def decay_rates_constant(op: MFDEOperator, end: int, lam_max: float = 20.0,
         lam_max = min(lam_max, 700.0 / r_max)
     lams = np.linspace(-lam_max, lam_max, grid_points)
     vals = np.real(np.linalg.det(characteristic_matrices(op, end, lams)))
-    roots = []
     sign_change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-    for i in sign_change:
-        lo, hi = lams[i], lams[i + 1]
-        flo = vals[i]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = _real_det(op, end, mid)
-            if fm == 0.0 or hi - lo < tol:
-                break
-            if (flo < 0) == (fm < 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
+    roots = [_bisect(lambda lam: _real_det(op, end, lam), lams[i], lams[i + 1], tol)
+             for i in sign_change]
     exact_zeros = lams[vals == 0.0]
     roots.extend(float(z) for z in exact_zeros if abs(z) > tol)
     return sorted(roots)
@@ -176,17 +165,7 @@ def periodic_decay_rate(model: LatticeModel, end: int, c: float,
         raise NoRealRootError(
             f"no bracketing interval for the tail rate at end {end:+d}; "
             "the front may not decay exponentially there")
-    ga = g(a)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        gm = g(mid)
-        if gm == 0.0 or abs(b - a) < tol * max(1.0, abs(mid)):
-            break
-        if (ga < 0) == (gm < 0):
-            a, ga = mid, gm
-        else:
-            b = mid
-    mu = 0.5 * (a + b)
+    mu = _bisect(g, a, b, tol)
     _lam, v = principal_eigenpair(folded_weight_matrix(model, mu) - np.diag(gammas))
     return mu, v
 

@@ -32,6 +32,7 @@ from latticefronts.bvp import (
     _deriv_matrix,
     inner,
 )
+from latticefronts.cli import DEFAULTS, build_problem
 from latticefronts.model import CubicNonlinearity
 
 PDE_SPEED = math.sqrt(0.5) * (1.0 - 2.0 * 0.3)   # continuum front speed, a = 0.3
@@ -193,6 +194,30 @@ def test_two_site_speed_scales_with_lattice_shift(traveling_two_site_system,
     guess = initial_guess(grid, math.sqrt(0.5), half.dimension)
     sol_half = newton_solve(half, grid, guess, 0.05)
     assert abs(sol_half.c - 0.5 * sol.c) <= 1e-6
+
+
+@pytest.mark.parametrize("case", ["pinned_two_site", "nagumo_quarter_grid"])
+def test_newton_needs_levenberg_marquardt_fallback(case):
+    # damped Newton alone fails on both (NewtonDivergenceError): a pinned
+    # two-site wave (c = 7.9e-15 after 7 iterations, sigma_min 0.286) and a
+    # Nagumo front on the quarter grid, where every shift spans an even
+    # number of cells (c = 0.11131, against 0.11393 at h = 1)
+    if case == "pinned_two_site":
+        problem, h = build_problem(dict(DEFAULTS["model"], kind="two_site",
+                                        d1=-0.05, a=0.5, d2=-0.1, eps=0.5)), 1.0
+    else:
+        problem, h = nagumo_problem(1.0, -0.1, 0.4), 0.25
+    grid = make_grid(40.0, h, problem.all_shifts)
+    sol = newton_solve(problem, grid,
+                       initial_guess(grid, components=problem.dimension), 0.1)
+    assert sol.residual_norm <= 1e-10
+    kd = kernel_vectors(problem, grid, sol)
+    if case == "pinned_two_site":
+        assert abs(sol.c) <= 1e-10
+        assert kd.kernel_dim == 0
+    else:
+        assert abs(sol.c - 0.11131) <= 1e-5
+        assert kd.kernel_dim == 1
 
 
 # --------------------------------------------------------------------------

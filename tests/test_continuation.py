@@ -56,8 +56,11 @@ def test_branch_refuses_two_dimensional_reference_kernel():
 
 
 def test_branch_stops_on_step_underflow(two_site_system, two_site_front):
-    # a stronger second-neighbor weight depins the two-site wave before
-    # eps reaches 1; Newton fails past the fold and the step collapses
+    # the swap symmetry keeps the wave pinned on the whole branch, but with
+    # the stronger second-neighbor weight the standing branch folds before
+    # eps reaches 1: with step0 = 0.02 the smallest singular value of L has
+    # fallen to 1.2e-3 of s_max = 1.17 by eps = 0.785.  Newton fails at
+    # the fold and the step collapses
     _, grid, sol = two_site_front
     strong = dataclasses.replace(two_site_system, d2=0.05)
     problem = two_site_problem(strong)
@@ -65,6 +68,9 @@ def test_branch_stops_on_step_underflow(two_site_system, two_site_front):
     branch = continue_in_epsilon(problem, grid, sol, 1.0, opts)
     assert branch.stop_reason == "step_underflow"
     assert branch.final.value < 1.0
+    for step in branch.steps:
+        assert abs(step.solution.c) <= 1e-10
+        assert step.kernel_dim == 0
 
 
 def test_branch_stops_on_pinning_when_asked(two_site_system, two_site_front):

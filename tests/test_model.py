@@ -13,6 +13,7 @@ from latticefronts.model import (
     DecoupledLatticeError,
     LatticeModel,
     TransformError,
+    _bisect,
     build_infinite_range,
     build_nagumo,
     find_four_periodic_equilibria,
@@ -46,6 +47,33 @@ def test_cubic_bistable_sign_pattern():
     assert f.deriv(0.0) > 0.0
     assert f.deriv(1.0) > 0.0
     assert f.deriv(0.3) < 0.0
+
+
+# --------------------------------------------------------------------------
+# bisection shared by the equilibria scan and the tail rates
+
+@settings(max_examples=200, deadline=None)
+@given(root=st.floats(-1e3, 1e3), a3=st.floats(0.01, 100.0),
+       a1=st.floats(0.01, 100.0), skew=st.floats(-0.99, 0.99),
+       sign=st.sampled_from([1.0, -1.0]),
+       left=st.floats(1e-6, 10.0), right=st.floats(1e-6, 10.0),
+       reverse=st.booleans(), tol=st.sampled_from([1e-15, 1e-12, 1e-8]))
+def test_bisect_finds_root_of_monotone_cubic(root, a3, a1, skew, sign, left,
+                                             right, reverse, tol):
+    # g = sign t (a3 t^2 + a2 t + a1), t = x - root, with a2^2 < 3 a3 a1:
+    # strictly monotone, and the sign of g is that of sign * t in floats
+    a2 = skew * math.sqrt(3.0 * a3 * a1)
+
+    def g(x):
+        t = x - root
+        return sign * t * ((a3 * t + a2) * t + a1)
+
+    lo, hi = root - left, root + right
+    if reverse:
+        lo, hi = hi, lo
+    assert g(lo) * g(hi) < 0.0
+    x = _bisect(g, lo, hi, tol)
+    assert abs(x - root) <= tol * max(1.0, abs(root))
 
 
 # --------------------------------------------------------------------------
