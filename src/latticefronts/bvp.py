@@ -48,6 +48,10 @@ __all__ = [
     "infinite_range_problem",
 ]
 
+_PHASE_LEVEL = 0.5      # component 1 of a solved wave crosses it nearest xi = 0
+_MAX_DAMPING = 8        # Newton step halvings before the Levenberg-Marquardt step
+_KERNEL_REL_TOL = 1e-6  # kernel singular values lie below this fraction of s_max
+
 
 class IncommensurableShiftError(ValueError):
     pass
@@ -164,8 +168,8 @@ class WaveProblem:
         if 0.0 not in shifts:
             shifts = shifts + (0.0,)
             mats = mats + (np.zeros((self.dimension,) * 2),)
-        return MFDEOperator(shifts=shifts, limits_minus=mats, limits_plus=mats,
-                            c=c, gamma_minus=self.gamma_at(0.0),
+        return MFDEOperator(shifts=shifts, matrices=mats, c=c,
+                            gamma_minus=self.gamma_at(0.0),
                             gamma_plus=self.gamma_at(1.0))
 
 
@@ -403,32 +407,30 @@ def _crossing_location(grid: Grid, values: np.ndarray, level: float) -> float:
 
 
 def align_phase(problem: WaveProblem, grid: Grid, profile: np.ndarray,
-                c: float, level: float, res: np.ndarray,
-                iters: int) -> WaveSolution:
+                c: float, res: np.ndarray, iters: int) -> WaveSolution:
     """The wave (profile, c) as a WaveSolution, translated by whole cells
-    (exact on the grid) so that component 1 crosses `level` nearest to
+    (exact on the grid) so that component 1 crosses _PHASE_LEVEL nearest to
     xi = 0; `res`, the residual of the unshifted profile, is reassembled
     only if the profile moved.  The phase location is the sub-grid crossing.
     """
-    loc = _crossing_location(grid, profile[:, 0], level)
+    loc = _crossing_location(grid, profile[:, 0], _PHASE_LEVEL)
     cells = int(round(loc / grid.h))
     if cells != 0:
         profile = shifted_profile(profile, cells)
         res = assemble_residual(problem, grid, profile, c)
-        loc = _crossing_location(grid, profile[:, 0], level)
+        loc = _crossing_location(grid, profile[:, 0], _PHASE_LEVEL)
     return WaveSolution(grid=grid, c=c, profile=profile,
                         residual_norm=float(np.max(np.abs(res))),
                         newton_iters=iters, phase_component=0,
-                        phase_level=level, phase_location=loc,
+                        phase_level=_PHASE_LEVEL, phase_location=loc,
                         pinning_suspected=bool(abs(c) < 1e-6))
 
 
 def newton_solve(problem: WaveProblem, grid: Grid, profile0: np.ndarray,
                  c0: float, tol: float = 1e-10, max_iter: int = 50,
-                 max_damping: int = 8, tail_tol: float = 1e-3,
-                 phase_level: float = 0.5) -> WaveSolution:
+                 tail_tol: float = 1e-3) -> WaveSolution:
     """Damped Newton on the bordered system; phase-aligns the result so
-    component 1 crosses `phase_level` nearest to xi = 0."""
+    component 1 crosses _PHASE_LEVEL nearest to xi = 0."""
     profile = np.array(profile0, dtype=float)
     if profile.ndim == 1:
         profile = profile[:, None]
@@ -468,7 +470,7 @@ def newton_solve(problem: WaveProblem, grid: Grid, profile0: np.ndarray,
         dp = delta[:-1].reshape(n, N)
         dc = delta[-1]
         step = 1.0
-        for _ in range(max_damping + 1):
+        for _ in range(_MAX_DAMPING + 1):
             trial_p = profile + step * dp
             trial_c = c + step * dc
             trial_res = assemble_residual(problem, grid, trial_p, trial_c)
@@ -520,7 +522,7 @@ def newton_solve(problem: WaveProblem, grid: Grid, profile0: np.ndarray,
             f"|phi(L)-1|={tails[1]:.2e}); enlarge L — tails decay at the "
             "rates reported by the tails module", tail_values=tails)
 
-    return align_phase(problem, grid, profile, c, phase_level, res, iters)
+    return align_phase(problem, grid, profile, c, res, iters)
 
 
 @dataclass(frozen=True)
@@ -549,8 +551,9 @@ def _largest_singular_value(L: sp.csr_matrix) -> float:
 def _factor(L: sp.csr_matrix, s_max: float):
     """splu of L; when SuperLU finds an exactly zero pivot, splu of
     L + delta I with delta = machine eps * s_max.  That shift is a backward
-    error of one rounding unit, far below any rel_tol * s_max threshold, so
-    the exact kernel keeps singular values of order delta or below."""
+    error of one rounding unit, far below the _KERNEL_REL_TOL * s_max
+    threshold, so the exact kernel keeps singular values of order delta or
+    below."""
     A = L.tocsc()
     try:
         return spla.splu(A)
@@ -614,15 +617,15 @@ def _smallest_singular(lu, threshold: float):
     return sigma, left.T
 
 
-def kernel_vectors(problem: WaveProblem, grid: Grid, solution: WaveSolution,
-                   rel_tol: float = 1e-6) -> KernelData:
+def kernel_vectors(problem: WaveProblem, grid: Grid,
+                   solution: WaveSolution) -> KernelData:
     """Approximate kernel elements of the linearization and its adjoint.
 
     psi_plus is the normalized discrete profile derivative; psi_minus the
     left singular vector of the discretized linearization L at its smallest
     singular value.  The smallest singular values come from svds on one
     sparse LU factorization of L and s_max from the banded L^T L.  The
-    kernel dimension counts singular values below rel_tol * s_max; the
+    kernel dimension counts singular values below _KERNEL_REL_TOL * s_max; the
     values are computed until one is not below.
     """
     n, N = solution.profile.shape
@@ -633,7 +636,7 @@ def kernel_vectors(problem: WaveProblem, grid: Grid, solution: WaveSolution,
 
     L = disc.linearization(problem.Fprime(solution.profile), solution.c)
     s_max = _largest_singular_value(L)
-    threshold = rel_tol * s_max
+    threshold = _KERNEL_REL_TOL * s_max
     smallest, left = _smallest_singular(_factor(L, s_max), threshold)
     psi_minus = left[0].reshape(n, N)
     if inner(w, psi_plus, psi_minus) < 0.0:
@@ -681,19 +684,9 @@ def epsilon_scaled_problem(d1: float, d2: float, a: float, eps: float) -> WavePr
                        label=f"eps-scaled(d1={d1}, d2={d2}, a={a}, eps={eps})")
 
 
-def two_site_problem(system: TwoSiteSystem, eps: float = 0.0,
-                     h: float = 1.0) -> WaveProblem:
+def two_site_problem(system: TwoSiteSystem, eps: float = 0.0) -> WaveProblem:
     """Reference even/odd system with the second-neighbor coupling as the
-    eps-scaled perturbation.
-
-    h is the lattice shift: the xi-distance between neighboring two-site
-    cells, so the couplings act on phi(xi -+ h).  It is not the grid
-    spacing of `make_grid`.  Any h > 0 describes the same lattice in
-    another xi unit, and the wave speed c scales with it: the wave of
-    h = 0.5, solved on a grid, domain and guess halved with it, has half
-    the speed of the h = 1 wave.  Passing the grid's spacing as h
-    rescales the lattice instead of refining the grid.
-    """
+    eps-scaled perturbation."""
     d_e, d_o, d2 = system.d_e, system.d_o, system.d2
     base = (
         np.array([[0.0, d_e], [0.0, 0.0]]),
@@ -702,17 +695,16 @@ def two_site_problem(system: TwoSiteSystem, eps: float = 0.0,
     )
     eye2 = np.eye(2)
     pert = (d2 * eye2, -2.0 * d2 * eye2, d2 * eye2)
-    return WaveProblem(shifts=(-h, 0.0, h), matrices=base,
+    return WaveProblem(shifts=(-1.0, 0.0, 1.0), matrices=base,
                        cubics=(system.f_e, system.f_o),
-                       pert_shifts=(-h, 0.0, h), pert_matrices=pert, eps=eps,
+                       pert_shifts=(-1.0, 0.0, 1.0), pert_matrices=pert, eps=eps,
                        label="two-site")
 
 
-def four_site_problem(system: FourSiteSystem, eps: float = 0.0,
-                      h: float = 1.0) -> WaveProblem:
+def four_site_problem(system: FourSiteSystem, eps: float = 0.0) -> WaveProblem:
     """Reference 4-component system with B2 as the eps-scaled perturbation."""
     base = (system.A1_ref, system.A2_ref, system.A3_ref)
-    return WaveProblem(shifts=(-h, 0.0, h), matrices=base,
+    return WaveProblem(shifts=(-1.0, 0.0, 1.0), matrices=base,
                        cubics=system.cubics,
                        pert_shifts=(0.0,), pert_matrices=(system.B2,), eps=eps,
                        label="four-site")

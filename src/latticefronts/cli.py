@@ -65,7 +65,7 @@ DEFAULTS = {
     "sim": {"M": 400, "dt": 0.02, "T": 200.0, "stride": 10, "front_at": 0.25,
             "level": 0.5, "width": 2.0},
     "hyperbolic": {"c": None, "tol": 1e-8, "operator": None},
-    "tails": {"c": None, "window": 0.5},
+    "tails": {"c": None},
     "output": {"dir": "out"},
     "sweep": {"parameter": None, "values": [], "command": None},
 }

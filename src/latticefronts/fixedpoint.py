@@ -37,6 +37,8 @@ __all__ = [
     "iterate",
 ]
 
+_ORTHOGONALITY_TOL = 1e-10   # largest relative adjoint part of R after a speed update
+
 
 class StepRejectedError(RuntimeError):
     """Speed-update denominator fell to the delta-hat guard; shrink psi or eps."""
@@ -145,8 +147,7 @@ def residual_R(ctx: FixedPointContext, c: float, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def speed_update(ctx: FixedPointContext, psi: np.ndarray,
-                 check_tol: float = 1e-10) -> float:
+def speed_update(ctx: FixedPointContext, psi: np.ndarray) -> float:
     """Unique speed making R(c, psi) orthogonal to the adjoint surrogate."""
     w, D = ctx.disc.weights, ctx.disc.D
     pm = ctx.kernel.psi_minus
@@ -177,7 +178,7 @@ def speed_update(ctx: FixedPointContext, psi: np.ndarray,
     c = ctx.c0 + num / den
     R = residual_R(ctx, c, psi)
     Rnorm = math.sqrt(inner(w, R, R))
-    if Rnorm > 0.0 and abs(inner(w, R, pm)) > check_tol * Rnorm:
+    if Rnorm > 0.0 and abs(inner(w, R, pm)) > _ORTHOGONALITY_TOL * Rnorm:
         raise StepRejectedError(
             "orthogonality postcondition failed: residual retains an adjoint "
             f"component {inner(w, R, pm):.3e} at norm {Rnorm:.3e}")
@@ -211,8 +212,7 @@ def apply_T(ctx: FixedPointContext, psi: np.ndarray, c: float = None,
     return sol[:-1].reshape(ctx.phi0.shape)
 
 
-def iterate(ctx: FixedPointContext, tol: float = 1e-10, max_iter: int = 200,
-            phase_level: float = 0.5):
+def iterate(ctx: FixedPointContext, tol: float = 1e-10, max_iter: int = 200):
     """Picard iteration from psi = 0; returns the wave and the iteration state."""
     solver = _bordered_solver(ctx)
     psi = np.zeros_like(ctx.phi0)
@@ -249,8 +249,7 @@ def iterate(ctx: FixedPointContext, tol: float = 1e-10, max_iter: int = 200,
     c = speed_update(ctx, psi)
     profile = ctx.phi0 + psi
     res = assemble_residual(ctx.problem, ctx.grid, profile, c)
-    solution = align_phase(ctx.problem, ctx.grid, profile, c, phase_level,
-                           res, len(history))
+    solution = align_phase(ctx.problem, ctx.grid, profile, c, res, len(history))
     state = FixedPointState(psi=psi, c_current=c, history=tuple(history),
                             contraction_ratio=lam_hat, delta_hat=ctx.delta_hat,
                             C0_estimate=ctx.C0_estimate, max_psi_norm=max_psi)

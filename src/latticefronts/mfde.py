@@ -1,8 +1,8 @@
 """Linear mixed-type operators of the traveling-wave equation.
 
-An operator represents  L phi = c phi' - sum_j A_j phi(. + r_j) + gamma phi
-with constant limit matrices at both spatial ends.  The characteristic
-matrix at an end is
+An operator represents  L phi = c phi' - sum_j A_j phi(. + r_j) + gamma phi;
+its limits at the two spatial ends share the A_j and differ in the diagonal
+gamma.  The characteristic matrix at an end is
 
     Delta(s) = c s I - sum_j A_j e^{s r_j} + diag(gamma),
 
@@ -42,8 +42,7 @@ class MFDEOperator:
     """Constant-limit mixed-type operator; shifts contain r = 0."""
 
     shifts: tuple[float, ...]
-    limits_minus: tuple[np.ndarray, ...]
-    limits_plus: tuple[np.ndarray, ...]
+    matrices: tuple[np.ndarray, ...]  # A_j, shared by both limits
     c: float
     gamma_minus: np.ndarray   # diagonal entries, shape (N,)
     gamma_plus: np.ndarray
@@ -53,27 +52,22 @@ class MFDEOperator:
             raise ValueError("shifts must be pairwise distinct")
         if 0.0 not in self.shifts:
             raise ValueError("the zero shift must be present")
-        if not (len(self.shifts) == len(self.limits_minus) == len(self.limits_plus)):
-            raise ValueError("one coefficient matrix per shift and end required")
+        if len(self.shifts) != len(self.matrices):
+            raise ValueError("one coefficient matrix per shift required")
 
     @property
     def dimension(self) -> int:
         return len(self.gamma_minus)
-
-    def limits(self, end: int):
-        return self.limits_plus if end > 0 else self.limits_minus
 
     def gamma(self, end: int) -> np.ndarray:
         return self.gamma_plus if end > 0 else self.gamma_minus
 
     @functools.cached_property
     def _sorted_terms(self):
-        """The shifts in increasing order, as an array, and each end's limit
-        matrices in that order, as (S, N, N) arrays; built on first use."""
+        """The shifts in increasing order, as an array, and the matrices in
+        that order, as an (S, N, N) array; built on first use."""
         order = np.argsort(self.shifts, kind="stable")
-        mats = {end > 0: np.array(self.limits(end), dtype=float)[order]
-                for end in (-1, 1)}
-        return np.array(self.shifts)[order], mats
+        return np.array(self.shifts)[order], np.array(self.matrices, dtype=float)[order]
 
 
 # Points per block of a characteristic-matrix stack: the (block, shifts)
@@ -91,7 +85,6 @@ def characteristic_matrices(op: MFDEOperator, end: int, s) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
     n = op.dimension
     shifts, mats = op._sorted_terms
-    mats = mats[end > 0]
     fixed = np.diag(op.gamma(end)).astype(complex)
     eye = np.eye(n)
     out = np.empty((len(s), n, n), dtype=complex)
@@ -164,7 +157,7 @@ class HyperbolicityReport:
 
 
 def _operator_norms(op: MFDEOperator, end: int) -> float:
-    norms = np.linalg.norm(np.array(op.limits(end), dtype=float), 2, axis=(1, 2))
+    norms = np.linalg.norm(np.array(op.matrices, dtype=float), 2, axis=(1, 2))
     # a left-to-right float sum, so theta_bound rounds as a per-shift loop's
     return sum(norms.tolist()) + float(np.max(np.abs(op.gamma(end))))
 
@@ -262,15 +255,18 @@ def _eig_realpart_certificate(op, end, period, grid_points):
     return min(t, period - t), v
 
 
+_SCAN_POINTS = 4096   # fewest points of a hyperbolicity scan
+_THETA_CAP = 1e4      # largest bound Theta the det scan covers directly
+
+
 def is_hyperbolic(op: MFDEOperator, end: int, tol: float = 1e-8,
-                  grid_points: int = 4096, adjoint_flag: bool = False,
-                  theta_cap: float = 1e4) -> HyperbolicityEntry:
+                  adjoint_flag: bool = False) -> HyperbolicityEntry:
     """Decide det Delta(i theta) != 0 at one end.
 
     For |c| large enough that the a-priori bound Theta is moderate, scans
-    |theta| <= Theta directly, on at least grid_points points and at least
+    |theta| <= Theta directly, on at least _SCAN_POINTS points and at least
     32 per period 2 pi / base of the shifts' common base.  Near-standing
-    waves (Theta beyond theta_cap) fall back to the periodic eigenvalue
+    waves (Theta beyond _THETA_CAP) fall back to the periodic eigenvalue
     certificate, which needs commensurable shifts.  The entry records the
     grid spacing as dtheta.
     """
@@ -278,8 +274,8 @@ def is_hyperbolic(op: MFDEOperator, end: int, tol: float = 1e-8,
     theta_bound = (norms + 1.0) / abs(op.c) if op.c != 0.0 else math.inf
     base = _shift_base(op.shifts)
 
-    if theta_bound <= theta_cap:
-        span, points = theta_bound, grid_points
+    if theta_bound <= _THETA_CAP:
+        span, points = theta_bound, _SCAN_POINTS
         if base is not None:
             # at least 32 grid intervals per period 2 pi / base
             per_period = 32.0 * base / (2.0 * math.pi)
@@ -291,7 +287,7 @@ def is_hyperbolic(op: MFDEOperator, end: int, tol: float = 1e-8,
             raise StandingWaveError(
                 "speed too close to zero for the det scan and shifts are "
                 "incommensurable; standing waves are unsupported here")
-        span, points = 2.0 * math.pi / base, grid_points
+        span, points = 2.0 * math.pi / base, _SCAN_POINTS
         t, v = _eig_realpart_certificate(op, end, span, points)
         method = "eig-realpart-certificate"
         # report |det| at the certificate minimizer for diagnostics
@@ -307,22 +303,20 @@ def adjoint(op: MFDEOperator) -> MFDEOperator:
     """Formal L^2 adjoint: speed negated, shifts reflected, matrices transposed."""
     return MFDEOperator(
         shifts=tuple(-r for r in op.shifts),
-        limits_minus=tuple(A.T.copy() for A in op.limits_minus),
-        limits_plus=tuple(A.T.copy() for A in op.limits_plus),
+        matrices=tuple(A.T.copy() for A in op.matrices),
         c=-op.c,
         gamma_minus=op.gamma_minus.copy(),
         gamma_plus=op.gamma_plus.copy(),
     )
 
 
-def asymptotic_hyperbolicity(op: MFDEOperator, tol: float = 1e-8,
-                             grid_points: int = 4096) -> HyperbolicityReport:
+def asymptotic_hyperbolicity(op: MFDEOperator, tol: float = 1e-8) -> HyperbolicityReport:
     """Hyperbolicity at both ends, for the operator and its adjoint."""
     adj = adjoint(op)
     entries = []
     for end in (-1, 1):
-        entries.append(is_hyperbolic(op, end, tol, grid_points, adjoint_flag=False))
-        entries.append(is_hyperbolic(adj, end, tol, grid_points, adjoint_flag=True))
+        entries.append(is_hyperbolic(op, end, tol, adjoint_flag=False))
+        entries.append(is_hyperbolic(adj, end, tol, adjoint_flag=True))
     return HyperbolicityReport(tuple(entries))
 
 
@@ -344,15 +338,13 @@ def upsilon_two_site(d_e: float, d_o: float, d2: float, eps: float,
 def two_site_operator(d_e: float, d_o: float, d2: float, eps: float,
                       gamma_minus: tuple[float, float],
                       gamma_plus: tuple[float, float],
-                      c: float, h: float = 1.0) -> MFDEOperator:
+                      c: float) -> MFDEOperator:
     """Constant-limit operator of the transformed even/odd system."""
     ed2 = eps * d2
-    A_m = np.array([[ed2, d_e], [0.0, ed2]])            # shift -h
+    A_m = np.array([[ed2, d_e], [0.0, ed2]])            # shift -1
     A_0 = np.array([[-2.0 * d_e - 2.0 * ed2, d_e],
                     [d_o, -2.0 * d_o - 2.0 * ed2]])
-    A_p = np.array([[ed2, 0.0], [d_o, ed2]])            # shift +h
-    mats = (A_m, A_0, A_p)
-    return MFDEOperator(shifts=(-h, 0.0, h),
-                        limits_minus=mats, limits_plus=mats, c=c,
+    A_p = np.array([[ed2, 0.0], [d_o, ed2]])            # shift +1
+    return MFDEOperator(shifts=(-1.0, 0.0, 1.0), matrices=(A_m, A_0, A_p), c=c,
                         gamma_minus=np.array(gamma_minus, dtype=float),
                         gamma_plus=np.array(gamma_plus, dtype=float))

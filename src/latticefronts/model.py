@@ -34,6 +34,12 @@ __all__ = [
     "build_infinite_range",
 ]
 
+_TWO_SITE_SCAN = (-2.0, 3.0)     # x-interval of the period-2 scan
+_TWO_SITE_SCAN_POINTS = 10_000
+_FOUR_SITE_SEEDS = (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5)  # per axis of the seed grid
+_FOUR_SITE_NEWTON_ITERS = 50
+_EQUILIBRIUM_TOL = 1e-9          # largest input defect a transform accepts
+
 
 class DecoupledLatticeError(ValueError):
     """Raised when a formula divides by a vanishing coupling constant."""
@@ -195,14 +201,12 @@ def _dedup_sorted(points, key, tol):
     return out
 
 
-def find_two_periodic_equilibria(d1: float, a: float,
-                                 scan: tuple[float, float] = (-2.0, 3.0),
-                                 grid_count: int = 10_000) -> list[PeriodicState]:
+def find_two_periodic_equilibria(d1: float, a: float) -> list[PeriodicState]:
     """Period-2 equilibria (x, y) with y on the branch y = x + f_a(x)/(2 d1).
 
-    Scans g(x) = f_a(x) + f_a(x + f_a(x)/(2 d1)) for sign changes and
-    bisects.  The homogeneous states (0,0), (a,a), (1,1) are always
-    included.
+    Scans g(x) = f_a(x) + f_a(x + f_a(x)/(2 d1)) for sign changes on
+    _TWO_SITE_SCAN and bisects.  The homogeneous states (0,0), (a,a), (1,1)
+    are always included.
     """
     if d1 == 0.0:
         raise DecoupledLatticeError(
@@ -216,7 +220,7 @@ def find_two_periodic_equilibria(d1: float, a: float,
     def g(x):
         return f(x) + f(branch_y(x))
 
-    xs = np.linspace(scan[0], scan[1], grid_count)
+    xs = np.linspace(*_TWO_SITE_SCAN, _TWO_SITE_SCAN_POINTS)
     gs = g(xs)
     roots = [0.0, a, 1.0]
     sign_change = np.flatnonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)
@@ -252,8 +256,7 @@ def _match_cubic(samples_v: np.ndarray, samples_f: np.ndarray,
 
 
 def two_site_transform(d1: float, d2: float, a: float,
-                       minus: PeriodicState, plus: PeriodicState,
-                       equilibrium_tol: float = 1e-9) -> TwoSiteSystem:
+                       minus: PeriodicState, plus: PeriodicState) -> TwoSiteSystem:
     """Affine change of variables sending (minus, plus) to (0, 1) componentwise.
 
     The transformed nonlinearities come from direct substitution and cubic
@@ -263,7 +266,7 @@ def two_site_transform(d1: float, d2: float, a: float,
     if minus.period != 2 or plus.period != 2:
         raise TransformError("two_site_transform needs period-2 states")
     for st in (minus, plus):
-        if st.residual > equilibrium_tol:
+        if st.residual > _EQUILIBRIUM_TOL:
             raise TransformError(
                 f"input state {st.values} has equilibrium defect {st.residual:.3e}")
     f = CubicNonlinearity(1.0, a)
@@ -293,9 +296,6 @@ def two_site_transform(d1: float, d2: float, a: float,
     return TwoSiteSystem(d_e=float(d_e), d_o=float(d_o), d2=float(d2),
                          f_e=f_e, f_o=f_o, minus=minus, plus=plus,
                          a_e_formula_discrepancy=bool(discrepancy))
-
-
-_DEFAULT_SEED_AXIS = (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5)
 
 
 def _four_site_rhs(u, d1, d2, f):
@@ -340,10 +340,7 @@ def _solve_stack(J, rhs):
         return x, solved
 
 
-def find_four_periodic_equilibria(d1: float, d2: float, a: float,
-                                  seed_axis=_DEFAULT_SEED_AXIS,
-                                  box: tuple[float, float] = (-3.0, 4.0),
-                                  max_iter: int = 50) -> list[PeriodicState]:
+def find_four_periodic_equilibria(d1: float, d2: float, a: float) -> list[PeriodicState]:
     """Newton sweep over a seed grid for the period-4 equilibrium system.
 
     All seeds iterate together.  A seed stops as converged once its residual
@@ -351,12 +348,12 @@ def find_four_periodic_equilibria(d1: float, d2: float, a: float,
     step or a step longer than 10.
     """
     f = CubicNonlinearity(1.0, a)
-    seeds = [s for s in seed_axis if box[0] <= s <= box[1]]
+    seeds = _FOUR_SITE_SEEDS
     found = np.array([np.full(4, v) for v in (0.0, a, 1.0)], dtype=float)
     u = np.array(np.meshgrid(seeds, seeds, seeds, seeds)).reshape(4, -1).T.astype(float)
     active = np.ones(len(u), bool)
     ok = np.zeros(len(u), bool)
-    for _ in range(max_iter):
+    for _ in range(_FOUR_SITE_NEWTON_ITERS):
         idx = np.flatnonzero(active)
         if len(idx) == 0:
             break
@@ -391,14 +388,13 @@ def find_four_periodic_equilibria(d1: float, d2: float, a: float,
 
 
 def four_site_transform(d1: float, d2: float, a: float,
-                        minus: PeriodicState, plus: PeriodicState,
-                        equilibrium_tol: float = 1e-9) -> FourSiteSystem:
+                        minus: PeriodicState, plus: PeriodicState) -> FourSiteSystem:
     """Build the 4x4 shift matrices, their reference/perturbation split, and
     the transformed cubics for a period-4 connection."""
     if minus.period != 4 or plus.period != 4:
         raise TransformError("four_site_transform needs period-4 states")
     for st in (minus, plus):
-        if st.residual > equilibrium_tol:
+        if st.residual > _EQUILIBRIUM_TOL:
             raise TransformError(
                 f"input state {st.values} has equilibrium defect {st.residual:.3e}")
     f = CubicNonlinearity(1.0, a)

@@ -33,6 +33,11 @@ __all__ = [
     "check_monotonicity",
 ]
 
+_WINDOW = 0.5           # trailing share of the snapshots the speed fit and profile use
+_PROFILE_STEP = 0.1     # xi spacing of the co-moving profile
+_PROFILE_MARGIN = 2.0   # its distance from the chain ends
+_MONOTONE_TOL = 1e-8    # largest backward step check_monotonicity ignores
+
 
 class BlowUpError(RuntimeError):
     def __init__(self, msg, time=None):
@@ -96,16 +101,11 @@ def stability_dt_max(model: LatticeModel) -> float:
 
 
 def front_state(model: LatticeModel, M: int, front_at: float = 0.25,
-                left=0.0, right=1.0, width: float = 2.0) -> SimState:
-    """Logistic step between the two (periodic) boundary equilibria."""
-    left_v = np.resize(np.asarray(left, dtype=float), model.period)
-    right_v = np.resize(np.asarray(right, dtype=float), model.period)
-    n = np.arange(M)
-    s = 1.0 / (1.0 + np.exp(-(n - front_at * M) / width))
-    lp = left_v[n % model.period]
-    rp = right_v[n % model.period]
-    return SimState(sites=lp + s * (rp - lp), t=0.0,
-                    left_values=left_v, right_values=right_v)
+                width: float = 2.0) -> SimState:
+    """Logistic step from the equilibrium 0 on the left to 1 on the right."""
+    s = 1.0 / (1.0 + np.exp(-(np.arange(M) - front_at * M) / width))
+    return SimState(sites=s, t=0.0, left_values=np.zeros(model.period),
+                    right_values=np.ones(model.period))
 
 
 def _lattice_rhs(model: LatticeModel, M: int):
@@ -206,33 +206,32 @@ def _crossing_position(chain: np.ndarray, positions: np.ndarray, level: float):
     return float(positions[i] + (level - v0) / (v1 - v0) * (positions[i + 1] - positions[i]))
 
 
-def measure_speed(traj: Trajectory, level: float = 0.5, component: int = 0,
-                  window: float = 0.5) -> SpeedMeasurement:
-    """Least-squares drift of the level crossing over the trailing window.
+def measure_speed(traj: Trajectory, level: float = 0.5) -> SpeedMeasurement:
+    """Least-squares drift of the first component's level crossing over the
+    trailing window.
 
     Returns c in the phi(n + c t) convention (minus the crossing slope).
     """
     N = traj.model.period
-    sel = np.arange(component, traj.sites, N)
-    n_keep = max(2, int(round(len(traj.times) * window)))
+    sel = np.arange(0, traj.sites, N)
+    n_keep = max(2, int(round(len(traj.times) * _WINDOW)))
     times = traj.times[-n_keep:]
     positions = []
     for snap in traj.states[-n_keep:]:
         pos = _crossing_position(snap[sel], sel.astype(float), level)
         if pos is None:
             raise NoFrontError(
-                f"component {component} does not span level {level} in the fit window")
+                f"component 0 does not span level {level} in the fit window")
         positions.append(pos)
     positions = np.array(positions)
     slope, intercept = np.polyfit(times, positions, 1)
     rms = float(np.sqrt(np.mean((positions - (slope * times + intercept)) ** 2)))
     return SpeedMeasurement(c_measured=float(-slope), fit_residual=rms,
                             window=(float(times[0]), float(times[-1])),
-                            level=level, component=component)
+                            level=level, component=0)
 
 
-def extract_profile(traj: Trajectory, c: float, window: float = 0.5,
-                    h_out: float = 0.1, margin: float = 2.0):
+def extract_profile(traj: Trajectory, c: float):
     """Resample the trajectory onto the co-moving coordinate xi = j + c t.
 
     Returns (xi grid, mean profile (len(xi), N), scatter, warning flag);
@@ -240,16 +239,16 @@ def extract_profile(traj: Trajectory, c: float, window: float = 0.5,
     flag is set when scatter exceeds 0.05 (not a clean traveling wave).
     """
     N = traj.model.period
-    n_keep = max(2, int(round(len(traj.times) * window)))
+    n_keep = max(2, int(round(len(traj.times) * _WINDOW)))
     times = traj.times[-n_keep:]
     snaps = traj.states[-n_keep:]
     j_idx = np.arange(traj.sites // N, dtype=float)
-    lo = max(j_idx[0] + c * t for t in times) + margin
-    hi = min(j_idx[-1] + c * t for t in times) - margin
-    if hi - lo < 10 * h_out:
+    lo = max(j_idx[0] + c * t for t in times) + _PROFILE_MARGIN
+    hi = min(j_idx[-1] + c * t for t in times) - _PROFILE_MARGIN
+    if hi - lo < 10 * _PROFILE_STEP:
         raise NoFrontError("co-moving windows of the snapshots barely overlap; "
                            "shorten T or enlarge the lattice")
-    xi = np.arange(lo, hi, h_out)
+    xi = np.arange(lo, hi, _PROFILE_STEP)
 
     def resampled(t, snap):
         out = np.empty((len(xi), N))
@@ -274,8 +273,9 @@ def extract_profile(traj: Trajectory, c: float, window: float = 0.5,
     return xi, mean, scatter, bool(scatter > 0.05)
 
 
-def check_monotonicity(values: np.ndarray, tol: float = 1e-8) -> MonotonicityReport:
-    """Uniform sign of successive differences, per component, up to tol."""
+def check_monotonicity(values: np.ndarray) -> MonotonicityReport:
+    """Uniform sign of successive differences, per component, up to
+    _MONOTONE_TOL."""
     v = np.asarray(values, dtype=float)
     if v.ndim == 1:
         v = v[:, None]
@@ -284,6 +284,7 @@ def check_monotonicity(values: np.ndarray, tol: float = 1e-8) -> MonotonicityRep
     signed = direction * d
     worst = float(np.min(signed))
     flat_index = int(np.argmin(signed))
-    return MonotonicityReport(monotone=bool(worst >= -tol), direction=direction,
+    return MonotonicityReport(monotone=bool(worst >= -_MONOTONE_TOL),
+                              direction=direction,
                               worst_violation=max(0.0, -worst),
                               worst_index=flat_index // v.shape[1])

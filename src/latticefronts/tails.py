@@ -33,6 +33,13 @@ __all__ = [
     "tail_report_constant",
 ]
 
+_LAM_MAX = 20.0           # the root scan covers |lambda| <= _LAM_MAX
+_ROOT_SCAN_POINTS = 8000
+_ROOT_TOL = 1e-12         # relative bracket width of the tail-rate bisections
+_FIT_WINDOW = 0.5         # fit_tail's share of the grid at each end
+_FIT_FLOOR = 1e-12        # fit_tail's amplitude range
+_FIT_CEILING = 1e-2
+
 
 class NoRealRootError(RuntimeError):
     """No real characteristic root of the required sign at the given end."""
@@ -67,28 +74,26 @@ def _real_det(op: MFDEOperator, end: int, lam: float) -> float:
     return float(np.real(np.linalg.det(characteristic_matrix(op, end, complex(lam)))))
 
 
-def decay_rates_constant(op: MFDEOperator, end: int, lam_max: float = 20.0,
-                         grid_points: int = 8000, tol: float = 1e-12) -> list[float]:
+def decay_rates_constant(op: MFDEOperator, end: int) -> list[float]:
     """Real roots of det Delta(lambda) = 0 at one end, sorted ascending.
 
     The caller picks the smallest positive root at -inf or the largest
     negative root at +inf as the front's decay rate.  The scan covers
-    |lambda| <= lam_max, narrowed to |lambda| <= 700 / max|r_j| so that
+    |lambda| <= _LAM_MAX, narrowed to |lambda| <= 700 / max|r_j| so that
     every e^{lambda r_j} stays inside the float range.  Each sign change
-    is bisected to a bracket narrower than tol * max(1, |lambda|).
+    is bisected to a bracket narrower than _ROOT_TOL * max(1, |lambda|).
     """
     if op.c == 0.0:
         raise ValueError("tail roots need a nonzero speed")
     r_max = max(abs(r) for r in op.shifts)
-    if r_max > 0.0:
-        lam_max = min(lam_max, 700.0 / r_max)
-    lams = np.linspace(-lam_max, lam_max, grid_points)
+    lam_max = min(_LAM_MAX, 700.0 / r_max) if r_max > 0.0 else _LAM_MAX
+    lams = np.linspace(-lam_max, lam_max, _ROOT_SCAN_POINTS)
     vals = np.real(np.linalg.det(characteristic_matrices(op, end, lams)))
     sign_change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-    roots = [_bisect(lambda lam: _real_det(op, end, lam), lams[i], lams[i + 1], tol)
+    roots = [_bisect(lambda lam: _real_det(op, end, lam), lams[i], lams[i + 1], _ROOT_TOL)
              for i in sign_change]
     exact_zeros = lams[vals == 0.0]
-    roots.extend(float(z) for z in exact_zeros if abs(z) > tol)
+    roots.extend(float(z) for z in exact_zeros if abs(z) > _ROOT_TOL)
     return sorted(roots)
 
 
@@ -135,19 +140,17 @@ def dispersion_value(model: LatticeModel, gammas: np.ndarray, c: float,
     return c * mu - lam
 
 
-def periodic_decay_rate(model: LatticeModel, end: int, c: float,
-                        gammas=None, tol: float = 1e-12):
+def periodic_decay_rate(model: LatticeModel, end: int, c: float):
     """Tail rate mu and positive per-site weights for periodic media.
 
     Solves c mu = lambda_principal(M(mu) - diag(gamma)) by bisection,
-    with mu > 0 at the -inf end and mu < 0 at +inf.  gamma defaults to
-    the cubic slopes at the equilibrium of that end (0 or 1).
+    with mu > 0 at the -inf end and mu < 0 at +inf.  gamma holds the
+    cubic slopes at the equilibrium of that end (0 or 1).
     """
     if c == 0.0:
         raise ValueError("dispersion relation needs a nonzero speed")
-    if gammas is None:
-        u = 0.0 if end < 0 else 1.0
-        gammas = np.array([cub.deriv(u) for cub in model.cubics])
+    u = 0.0 if end < 0 else 1.0
+    gammas = np.array([cub.deriv(u) for cub in model.cubics])
 
     def g(mu):
         return dispersion_value(model, gammas, c, mu)
@@ -165,52 +168,49 @@ def periodic_decay_rate(model: LatticeModel, end: int, c: float,
         raise NoRealRootError(
             f"no bracketing interval for the tail rate at end {end:+d}; "
             "the front may not decay exponentially there")
-    mu = _bisect(g, a, b, tol)
+    mu = _bisect(g, a, b, _ROOT_TOL)
     _lam, v = principal_eigenpair(folded_weight_matrix(model, mu) - np.diag(gammas))
     return mu, v
 
 
-def cutoff_principal_value(model: InfiniteRangeModel, mu: float, k0: int,
-                           end: int = -1) -> float:
+def cutoff_principal_value(model: InfiniteRangeModel, mu: float, k0: int) -> float:
     """Principal value lambda(k0) of the weighted coupling operator
-    truncated at cutoff k0, at fixed tail exponent mu."""
+    truncated at cutoff k0, at fixed tail exponent mu, with the reaction
+    slopes of the -inf end."""
     full = model.full_model(eps=1.0)
     truncated = {key: v for key, v in full.couplings.items() if abs(key[1]) <= k0}
     for n in range(full.period):
         truncated[(n, 0)] = -sum(v for (m, k), v in truncated.items()
                                  if m == n and k != 0)
     sub = LatticeModel(full.period, truncated, full.cubics)
-    u = 0.0 if end < 0 else 1.0
-    gammas = np.array([cub.deriv(u) for cub in sub.cubics])
+    gammas = np.array([cub.deriv(0.0) for cub in sub.cubics])
     lam, _v = principal_eigenpair(folded_weight_matrix(sub, mu) - np.diag(gammas))
     return lam
 
 
-def fit_tail(xi: np.ndarray, profile: np.ndarray, end: int,
-             window: float = 0.5, component: int = 0,
-             floor: float = 1e-12, ceiling: float = 1e-2):
-    """Log-linear tail rate of a front profile at one end.
+def fit_tail(xi: np.ndarray, profile: np.ndarray, end: int):
+    """Log-linear tail rate of a front profile's first component at one end.
 
     Fits log|phi| (at -inf) or log|1 - phi| (at +inf) against xi over the
-    end's window fraction, restricted to amplitudes in (floor, ceiling).
-    Returns (rate, r_squared, points_used).
+    end's _FIT_WINDOW fraction, restricted to amplitudes in
+    (_FIT_FLOOR, _FIT_CEILING).  Returns (rate, r_squared, points_used).
     """
     values = np.asarray(profile, dtype=float)
     if values.ndim > 1:
-        values = values[:, component]
+        values = values[:, 0]
     dev = np.abs(values) if end < 0 else np.abs(1.0 - values)
     n = len(xi)
-    cut = int(round(n * window))
+    cut = int(round(n * _FIT_WINDOW))
     mask = np.zeros(n, dtype=bool)
     if end < 0:
         mask[:cut] = True
     else:
         mask[n - cut:] = True
-    mask &= (dev > floor) & (dev < ceiling)
+    mask &= (dev > _FIT_FLOOR) & (dev < _FIT_CEILING)
     if int(mask.sum()) < 8:
         raise TailFitError(
             f"only {int(mask.sum())} usable tail points at end {end:+d}; "
-            "widen the window or enlarge the domain")
+            "enlarge the domain")
     x = np.asarray(xi)[mask]
     y = np.log(dev[mask])
     slope, intercept = np.polyfit(x, y, 1)
@@ -221,10 +221,10 @@ def fit_tail(xi: np.ndarray, profile: np.ndarray, end: int,
     return float(slope), r2, int(mask.sum())
 
 
-def tail_report_constant(op: MFDEOperator, lam_max: float = 20.0) -> TailReport:
+def tail_report_constant(op: MFDEOperator) -> TailReport:
     """Smallest positive rate at -inf and largest negative rate at +inf."""
-    roots_m = [r for r in decay_rates_constant(op, -1, lam_max) if r > 1e-12]
-    roots_p = [r for r in decay_rates_constant(op, +1, lam_max) if r < -1e-12]
+    roots_m = [r for r in decay_rates_constant(op, -1) if r > 1e-12]
+    roots_p = [r for r in decay_rates_constant(op, +1) if r < -1e-12]
     if not roots_m:
         raise NoRealRootError("no positive real characteristic root at -inf")
     if not roots_p:

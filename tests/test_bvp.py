@@ -184,18 +184,6 @@ def test_swapped_pair_wave_is_pinned_off_balance(c0):
     assert kernel_vectors(problem, grid, sol).kernel_dim == 0
 
 
-def test_two_site_speed_scales_with_lattice_shift(traveling_two_site_system,
-                                                  traveling_two_site_front):
-    # h is the lattice shift, not the grid spacing: halving it, with the
-    # grid, the domain and the guess halved too, is a change of the xi unit
-    _, _, sol = traveling_two_site_front
-    half = two_site_problem(traveling_two_site_system, h=0.5)
-    grid = make_grid(20.0, 0.5, half.all_shifts)
-    guess = initial_guess(grid, math.sqrt(0.5), half.dimension)
-    sol_half = newton_solve(half, grid, guess, 0.05)
-    assert abs(sol_half.c - 0.5 * sol.c) <= 1e-6
-
-
 @pytest.mark.parametrize("case", ["pinned_two_site", "nagumo_quarter_grid"])
 def test_newton_needs_levenberg_marquardt_fallback(case):
     # damped Newton alone fails on both (NewtonDivergenceError): a pinned
@@ -234,6 +222,18 @@ def test_kernel_of_traveling_front_is_one_dimensional(nagumo_front):
     overlap = abs(float(deriv @ kd.psi_plus.ravel()))
     norm = np.linalg.norm(kd.psi_plus.ravel())
     assert overlap / norm >= 0.999
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known kernel miss: sigma_min 6.8e-6 against s_max 4.59 is a ratio of "
+    "1.5e-6, above the 1e-6 threshold, while sigma_2 is 0.363; the h = 1 "
+    "stencil's error lifts the translation mode (ROADMAP items 1 and 2)"))
+def test_kernel_counts_translation_mode_of_competing_nagumo_front():
+    problem = nagumo_problem(1.0, -0.1, 0.4)
+    grid = make_grid(40.0, 1.0, problem.all_shifts)
+    sol = newton_solve(problem, grid, initial_guess(grid), 0.1)
+    assert abs(sol.c - 0.113930) <= 1e-6
+    assert kernel_vectors(problem, grid, sol).kernel_dim == 1
 
 
 def test_kernel_vectors_annihilated_by_linearization(nagumo_front):

@@ -1,7 +1,8 @@
 """Source hygiene of the package, checked on the syntax tree: no module
-imports a name it does not use, and every name a module lists in
-``__all__`` is bound there (the benchmark's tracer looks the functions up
-by ``__all__``, so a stale entry breaks it)."""
+imports a name it does not use, every name a module lists in ``__all__`` is
+bound there (the benchmark's tracer looks the functions up by ``__all__``,
+so a stale entry breaks it), and every defaulted parameter of a public
+function is passed by some call in the package or the tests."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,7 @@ import latticefronts
 
 PACKAGE = Path(latticefronts.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
 
 
 def _tree(path: Path) -> ast.Module:
@@ -71,3 +73,61 @@ def test_all_names_are_bound(path):
     tree = _tree(path)
     missing = set(_all_names(tree)) - _module_bindings(tree)
     assert not missing, f"{path.name}: __all__ names not bound {sorted(missing)}"
+
+
+def _calls() -> list[ast.Call]:
+    """Every call in the package and the tests."""
+    paths = MODULES + sorted(TESTS.glob("*.py"))
+    return [node for path in paths for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Call)]
+
+
+def _callee(call: ast.Call) -> str | None:
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether the call passes the parameter by keyword, by **kwargs or by
+    position; an unpacked *args passes only the positions written before it,
+    since its length is not known from the source."""
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    written = 0
+    for arg in call.args:
+        if isinstance(arg, ast.Starred):
+            break
+        written += 1
+    return position is not None and written > position
+
+
+def _options(func: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position or None if keyword-only, name) of each defaulted parameter."""
+    positional = func.args.posonlyargs + func.args.args
+    first = len(positional) - len(func.args.defaults)
+    opts = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    opts += [(None, a.arg) for a, d in zip(func.args.kwonlyargs, func.args.kw_defaults)
+             if d is not None]
+    return opts
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.stem)
+def test_every_option_is_set_by_a_caller(path):
+    """A defaulted parameter of a public function that no call in the
+    package or the tests passes is a constant in disguise: each such option
+    doubles the configurations the tests would have to cover."""
+    tree = _tree(path)
+    public = set(_all_names(tree))
+    calls = _calls()
+    unset = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name not in public:
+            continue
+        mine = [c for c in calls if _callee(c) == node.name]
+        unset += [f"{node.name}({name})" for position, name in _options(node)
+                  if not any(_passes(c, position, name) for c in mine)]
+    assert not unset, f"{path.name}: options no caller sets {unset}"

@@ -29,8 +29,7 @@ def nagumo_operator(d1, d2, a, c):
     gm = np.array([a])            # f'(0) = a for f = u(u-a)(u-1)
     gp = np.array([1.0 - a])      # f'(1) = 1 - a
     return MFDEOperator(shifts=(-2.0, -1.0, 0.0, 1.0, 2.0),
-                        limits_minus=tuple(A), limits_plus=tuple(A),
-                        c=c, gamma_minus=gm, gamma_plus=gp)
+                        matrices=tuple(A), c=c, gamma_minus=gm, gamma_plus=gp)
 
 
 # --------------------------------------------------------------------------
@@ -55,8 +54,7 @@ def test_characteristic_matrix_uses_requested_end():
 def test_operator_requires_zero_shift():
     with pytest.raises(ValueError):
         MFDEOperator(shifts=(-1.0, 1.0),
-                     limits_minus=(np.eye(1), np.eye(1)),
-                     limits_plus=(np.eye(1), np.eye(1)),
+                     matrices=(np.eye(1), np.eye(1)),
                      c=1.0, gamma_minus=np.array([1.0]),
                      gamma_plus=np.array([1.0]))
 
@@ -65,7 +63,7 @@ def per_point_delta(op, end, s):
     """Reference: Delta(s) = c s I - sum_j A_j e^{s r_j} + diag(gamma), one
     point at a time with scalar exponentials."""
     out = op.c * s * np.eye(op.dimension, dtype=complex) + np.diag(op.gamma(end))
-    for r, A in zip(op.shifts, op.limits(end)):
+    for r, A in zip(op.shifts, op.matrices):
         out = out - A * cmath.exp(s * r)
     return out
 
@@ -78,9 +76,7 @@ def random_operators(draw):
     shifts = (0.0, *nonzero)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mats = tuple(rng.normal(size=(n, n)) for _ in shifts)
-    return MFDEOperator(shifts=shifts, limits_minus=mats,
-                        limits_plus=tuple(-A for A in mats),
-                        c=draw(st.floats(-2.0, 2.0)),
+    return MFDEOperator(shifts=shifts, matrices=mats, c=draw(st.floats(-2.0, 2.0)),
                         gamma_minus=rng.normal(size=n), gamma_plus=rng.normal(size=n))
 
 
@@ -148,7 +144,7 @@ def test_adjoint_is_involutive():
     back = adjoint(adjoint(op))
     assert back.shifts == op.shifts
     assert back.c == op.c
-    for A, B in zip(back.limits_minus, op.limits_minus):
+    for A, B in zip(back.matrices, op.matrices):
         assert np.array_equal(A, B)
 
 
@@ -241,8 +237,7 @@ def test_standing_wave_uses_periodic_certificate():
 
 def _relisted(op, perm):
     return MFDEOperator(shifts=tuple(op.shifts[i] for i in perm),
-                        limits_minus=tuple(op.limits_minus[i] for i in perm),
-                        limits_plus=tuple(op.limits_plus[i] for i in perm),
+                        matrices=tuple(op.matrices[i] for i in perm),
                         c=op.c, gamma_minus=op.gamma_minus, gamma_plus=op.gamma_plus)
 
 
@@ -272,7 +267,7 @@ def test_theta_bound_sums_per_shift_spectral_norms():
     op = problem.operator(0.26)
     for end in (-1, 1):
         total = 0
-        for A in op.limits(end):
+        for A in op.matrices:
             total += float(np.linalg.norm(A, 2))
         want = (total + float(np.max(np.abs(op.gamma(end)))) + 1.0) / abs(op.c)
         assert is_hyperbolic(op, end).theta_bound == want
@@ -282,7 +277,7 @@ def test_standing_wave_incommensurable_shifts_unsupported():
     A = np.array([[0.2]])
     Z = np.array([[-0.4]])
     op = MFDEOperator(shifts=(-1.0, 0.0, math.sqrt(2.0)),
-                      limits_minus=(A, Z, A), limits_plus=(A, Z, A),
+                      matrices=(A, Z, A),
                       c=0.0, gamma_minus=np.array([0.5]),
                       gamma_plus=np.array([0.5]))
     with pytest.raises(StandingWaveError):

@@ -177,10 +177,10 @@ def test_four_periodic_contains_homogeneous():
 
 def reference_four_periodic_sweep(d1, d2, a):
     """One Newton loop per seed, as the sweep was first written."""
-    from latticefronts.model import _DEFAULT_SEED_AXIS, _four_site_rhs
+    from latticefronts.model import _FOUR_SITE_SEEDS, _four_site_rhs
     f = CubicNonlinearity(1.0, a)
     found = [np.full(4, v) for v in (0.0, a, 1.0)]
-    seeds = _DEFAULT_SEED_AXIS
+    seeds = _FOUR_SITE_SEEDS
     for seed in np.array(np.meshgrid(seeds, seeds, seeds, seeds)).reshape(4, -1).T:
         u = seed.astype(float).copy()
         ok = False

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from latticefronts.model import (CubicNonlinearity, LatticeModel, build_infinite_range,
@@ -90,6 +91,18 @@ def reference_rhs(model, u, left_v, right_v):
     out[:pinned] = 0.0
     out[-pinned:] = 0.0
     return out
+
+
+def test_private_csr_matvec_adds_into_its_output():
+    # sim's RK4 step calls scipy's private kernel with a preallocated output
+    # and relies on it adding A x to what the output holds; the entries are
+    # exact in binary, so the summation order cannot change the result
+    from scipy.sparse._sparsetools import csr_matvec
+    A = sp.csr_matrix(np.array([[2.0, 0.0, -1.0], [0.0, 0.0, 0.0], [0.5, 3.0, 0.0]]))
+    x = np.array([1.0, 2.0, 4.0])
+    out = np.ones(3)
+    csr_matvec(3, 3, A.indptr, A.indices, A.data, x, out)
+    assert np.array_equal(out, 1.0 + A @ x)
 
 
 @pytest.mark.parametrize("model, exact", [
