@@ -58,9 +58,7 @@ class IncommensurableShiftError(ValueError):
 
 
 class NewtonDivergenceError(RuntimeError):
-    def __init__(self, msg, last_residual=None):
-        super().__init__(msg)
-        self.last_residual = last_residual
+    pass
 
 
 class SingularSystemError(RuntimeError):
@@ -68,9 +66,7 @@ class SingularSystemError(RuntimeError):
 
 
 class DomainTooSmallError(RuntimeError):
-    def __init__(self, msg, tail_values=None):
-        super().__init__(msg)
-        self.tail_values = tail_values
+    pass
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,6 @@ class WaveProblem:
     pert_shifts: tuple[float, ...] = ()
     pert_matrices: tuple[np.ndarray, ...] = ()
     eps: float = 0.0
-    label: str = ""
 
     @property
     def dimension(self) -> int:
@@ -173,20 +168,19 @@ class WaveProblem:
                             gamma_plus=self.gamma_at(1.0))
 
 
-def shifted_profile(profile: np.ndarray, steps: int, left: float = 0.0,
-                    right: float = 1.0) -> np.ndarray:
+def shifted_profile(profile: np.ndarray, steps: int) -> np.ndarray:
     """Profile translated by `steps` grid cells; off-grid values clamp to
-    the boundary equilibria (`left` at -inf, `right` at +inf)."""
+    the boundary equilibria, 0 at -inf and 1 at +inf."""
     n, N = profile.shape
     if steps == 0:
         return profile
     out = np.empty_like(profile)
     if steps > 0:
         out[: n - steps] = profile[steps:]
-        out[n - steps:] = right
+        out[n - steps:] = 1.0
     else:
         out[-steps:] = profile[:steps]
-        out[: -steps] = left
+        out[: -steps] = 0.0
     return out
 
 
@@ -197,23 +191,16 @@ def _read_only(*arrays):
 
 @dataclass(frozen=True, eq=False)
 class Coupling:
-    """v -> sum_j A_j v(. + r_j) on an n-node grid, as C @ v + left b_left
-    + right b_right: C (nN x nN, on node-major vectors) holds the on-grid
-    arguments, b_left/b_right (n, N) what unit constants beyond the left and
-    right ends contribute, so off-grid arguments clamp to `left`/`right`."""
+    """v -> sum_j A_j v(. + r_j) on an n-node grid, as C @ v + b: C (nN x nN,
+    on node-major vectors) holds the on-grid arguments and b (n, N) what the
+    constant 1 beyond the right end contributes, so off-grid arguments clamp
+    to 0 on the left and 1 on the right."""
 
     C: sp.csr_matrix
-    b_left: np.ndarray
-    b_right: np.ndarray
+    b: np.ndarray
 
-    def apply(self, values: np.ndarray, left: float = 0.0,
-              right: float = 1.0) -> np.ndarray:
-        out = (self.C @ values.ravel()).reshape(values.shape)
-        if left != 0.0:
-            out += left * self.b_left
-        if right != 0.0:
-            out += right * self.b_right
-        return out
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return (self.C @ values.ravel()).reshape(values.shape) + self.b
 
 
 @functools.lru_cache(maxsize=32)
@@ -230,12 +217,9 @@ def _coupling(n: int, N: int, steps: tuple[int, ...], mats: bytes) -> Coupling:
     cols = (target * N + b)[inside]
     vals = np.broadcast_to(A[j, a, b], inside.shape)[inside]
     C = sp.csr_matrix((vals, (rows, cols)), shape=(n * N, n * N))
-    cell = node + steps
-    row_sums = A.sum(axis=2)
-    b_left = (cell < 0).astype(float) @ row_sums
-    b_right = (cell >= n).astype(float) @ row_sums
-    _read_only(C.data, b_left, b_right)
-    return Coupling(C=C, b_left=b_left, b_right=b_right)
+    b = (node + steps >= n).astype(float) @ A.sum(axis=2)
+    _read_only(C.data, b)
+    return Coupling(C=C, b=b)
 
 
 def coupling_operator(shifts, matrices, n: int, N: int, h: float) -> Coupling:
@@ -243,12 +227,6 @@ def coupling_operator(shifts, matrices, n: int, N: int, h: float) -> Coupling:
     steps = _grid_steps(shifts, h)
     mats = np.asarray(matrices, dtype=float).reshape(len(steps), N, N)
     return _coupling(n, N, steps, mats.tobytes())
-
-
-def apply_coupling(shifts, matrices, profile: np.ndarray, h: float,
-                   left: float = 0.0, right: float = 1.0) -> np.ndarray:
-    n, N = profile.shape
-    return coupling_operator(shifts, matrices, n, N, h).apply(profile, left, right)
 
 
 def _deriv_matrix(n: int, h: float) -> sp.csr_matrix:
@@ -372,14 +350,8 @@ class WaveSolution:
     profile: np.ndarray
     residual_norm: float
     newton_iters: int
-    phase_component: int
-    phase_level: float
-    phase_location: float
+    phase_location: float       # where component 1 crosses _PHASE_LEVEL
     pinning_suspected: bool
-
-    @property
-    def dimension(self) -> int:
-        return self.profile.shape[1]
 
     def to_json(self) -> dict:
         return {
@@ -388,8 +360,7 @@ class WaveSolution:
             "newton_iters": self.newton_iters,
             "L": self.grid.L,
             "h": self.grid.h,
-            "phase": {"component": self.phase_component,
-                      "level": self.phase_level,
+            "phase": {"component": 0, "level": _PHASE_LEVEL,
                       "location": self.phase_location},
             "pinning_suspected": self.pinning_suspected,
         }
@@ -421,8 +392,7 @@ def align_phase(problem: WaveProblem, grid: Grid, profile: np.ndarray,
         loc = _crossing_location(grid, profile[:, 0], _PHASE_LEVEL)
     return WaveSolution(grid=grid, c=c, profile=profile,
                         residual_norm=float(np.max(np.abs(res))),
-                        newton_iters=iters, phase_component=0,
-                        phase_level=_PHASE_LEVEL, phase_location=loc,
+                        newton_iters=iters, phase_location=loc,
                         pinning_suspected=bool(abs(c) < 1e-6))
 
 
@@ -454,7 +424,7 @@ def newton_solve(problem: WaveProblem, grid: Grid, profile0: np.ndarray,
         if iters >= max_iter:
             raise NewtonDivergenceError(
                 f"no convergence in {max_iter} Newton iterations "
-                f"(last residual {res_norm:.3e})", last_residual=res_norm)
+                f"(last residual {res_norm:.3e})")
         J = assemble_jacobian(problem, grid, profile, c, phase_ref_deriv)
         rhs = -np.concatenate([res.ravel(), [phase_value(profile)]])
         try:
@@ -508,7 +478,7 @@ def newton_solve(problem: WaveProblem, grid: Grid, profile0: np.ndarray,
             if best is None or best[0] >= res_norm:
                 raise NewtonDivergenceError(
                     f"damping failed to reduce the residual below "
-                    f"{res_norm:.3e}", last_residual=res_norm)
+                    f"{res_norm:.3e}")
             trial_norm, trial_p, trial_c, trial_res = best
         profile, c = trial_p, trial_c
         res, res_norm = trial_res, trial_norm
@@ -520,7 +490,7 @@ def newton_solve(problem: WaveProblem, grid: Grid, profile0: np.ndarray,
         raise DomainTooSmallError(
             f"boundary proximity violated (|phi(-L)|={tails[0]:.2e}, "
             f"|phi(L)-1|={tails[1]:.2e}); enlarge L — tails decay at the "
-            "rates reported by the tails module", tail_values=tails)
+            "rates reported by the tails module")
 
     return align_phase(problem, grid, profile, c, res, iters)
 
@@ -663,8 +633,7 @@ def _fold_model(model: LatticeModel):
 
 def lattice_problem(model: LatticeModel) -> WaveProblem:
     shifts, mats = _fold_model(model)
-    return WaveProblem(shifts=shifts, matrices=mats, cubics=model.cubics,
-                       label=model.metadata or "lattice")
+    return WaveProblem(shifts=shifts, matrices=mats, cubics=model.cubics)
 
 
 def nagumo_problem(d1: float, d2: float, a: float) -> WaveProblem:
@@ -680,8 +649,7 @@ def epsilon_scaled_problem(d1: float, d2: float, a: float, eps: float) -> WavePr
     mats = tuple(np.array([[v]]) for v in
                  (d2 * s, d1 * s, (-2.0 * d1 - 2.0 * d2) * s, d1 * s, d2 * s))
     return WaveProblem(shifts=shifts, matrices=mats,
-                       cubics=(CubicNonlinearity(1.0, a),),
-                       label=f"eps-scaled(d1={d1}, d2={d2}, a={a}, eps={eps})")
+                       cubics=(CubicNonlinearity(1.0, a),))
 
 
 def two_site_problem(system: TwoSiteSystem, eps: float = 0.0) -> WaveProblem:
@@ -697,8 +665,7 @@ def two_site_problem(system: TwoSiteSystem, eps: float = 0.0) -> WaveProblem:
     pert = (d2 * eye2, -2.0 * d2 * eye2, d2 * eye2)
     return WaveProblem(shifts=(-1.0, 0.0, 1.0), matrices=base,
                        cubics=(system.f_e, system.f_o),
-                       pert_shifts=(-1.0, 0.0, 1.0), pert_matrices=pert, eps=eps,
-                       label="two-site")
+                       pert_shifts=(-1.0, 0.0, 1.0), pert_matrices=pert, eps=eps)
 
 
 def four_site_problem(system: FourSiteSystem, eps: float = 0.0) -> WaveProblem:
@@ -706,8 +673,7 @@ def four_site_problem(system: FourSiteSystem, eps: float = 0.0) -> WaveProblem:
     base = (system.A1_ref, system.A2_ref, system.A3_ref)
     return WaveProblem(shifts=(-1.0, 0.0, 1.0), matrices=base,
                        cubics=system.cubics,
-                       pert_shifts=(0.0,), pert_matrices=(system.B2,), eps=eps,
-                       label="four-site")
+                       pert_shifts=(0.0,), pert_matrices=(system.B2,), eps=eps)
 
 
 def infinite_range_problem(model: InfiniteRangeModel, eps: float = 0.0) -> WaveProblem:
@@ -723,4 +689,4 @@ def infinite_range_problem(model: InfiniteRangeModel, eps: float = 0.0) -> WaveP
                        cubics=base.cubics,
                        pert_shifts=tuple(float(j) for j in shifts),
                        pert_matrices=tuple(tail_blocks[j] for j in shifts),
-                       eps=eps, label="infinite-range")
+                       eps=eps)

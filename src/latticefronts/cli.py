@@ -19,20 +19,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bvp import (DomainTooSmallError, IncommensurableShiftError,
-                  NewtonDivergenceError, SingularSystemError, WaveProblem,
-                  epsilon_scaled_problem, four_site_problem, infinite_range_problem,
-                  initial_guess, kernel_vectors, make_grid, nagumo_problem,
-                  newton_solve, two_site_problem)
+from .bvp import (DomainTooSmallError, NewtonDivergenceError, SingularSystemError,
+                  WaveProblem, epsilon_scaled_problem, four_site_problem,
+                  infinite_range_problem, initial_guess, kernel_vectors, make_grid,
+                  nagumo_problem, newton_solve, two_site_problem)
 from .continuation import (ContinuationOptions, continue_in_epsilon,
                            continue_in_parameter)
 from .fixedpoint import (ContractionFailureError, KernelObstructionError,
                          StepRejectedError, iterate, make_context)
-from .mfde import StandingWaveError, asymptotic_hyperbolicity, two_site_operator
-from .model import (DecoupledLatticeError, FourSiteSystem, TransformError,
-                    TwoSiteSystem, build_infinite_range, build_nagumo,
-                    find_four_periodic_equilibria, find_two_periodic_equilibria,
-                    four_site_transform, two_site_transform)
+from .mfde import asymptotic_hyperbolicity, two_site_operator
+from .model import (FourSiteSystem, TwoSiteSystem, build_infinite_range,
+                    build_nagumo, find_four_periodic_equilibria,
+                    find_two_periodic_equilibria, four_site_transform,
+                    two_site_transform)
 from .sim import (BlowUpError, NoFrontError, check_monotonicity, extract_profile,
                   front_state, integrate, measure_speed)
 from .tails import (NoRealRootError, TailFitError, periodic_decay_rate,
@@ -85,6 +84,11 @@ REQUIRED_BLOCKS = {
 
 MODEL_KINDS = ("nagumo", "eps_scaled", "two_site", "four_site", "infinite_range")
 
+# keys of an explicit two-site operator for check-hyperbolic; the speed comes
+# from exactly one of its "c" and hyperbolic.c
+OPERATOR_REQUIRED = ("d_e", "d_o", "gamma1", "gamma2")
+OPERATOR_OPTIONAL = ("d2", "eps", "gamma1_plus", "gamma2_plus", "c")
+
 
 class ConfigError(ValueError):
     def __init__(self, errors):
@@ -131,9 +135,8 @@ def validate(config: dict, command: str):
              normalized["continuation"]["step0"] > 0)):
         if not cond:
             errors.append(f"{path} = {value} must be positive")
-    if command == "check-hyperbolic" and normalized["hyperbolic"]["operator"] is None \
-            and normalized["hyperbolic"]["c"] is None:
-        errors.append("hyperbolic.c is required when no explicit operator is given")
+    if command == "check-hyperbolic":
+        errors += _operator_errors(normalized["hyperbolic"])
     if command == "tails" and normalized["tails"]["c"] in (None, 0.0):
         errors.append("tails.c must be a nonzero speed")
     if command == "sweep":
@@ -145,6 +148,23 @@ def validate(config: dict, command: str):
     if errors:
         raise ConfigError(errors)
     return normalized
+
+
+def _operator_errors(hyp: dict) -> list[str]:
+    op = hyp["operator"]
+    if op is None:
+        return [] if hyp["c"] is not None else [
+            "hyperbolic.c is required when no explicit operator is given"]
+    if not isinstance(op, dict):
+        return ["hyperbolic.operator must be an object"]
+    errors = [f"hyperbolic.operator.{k} is required"
+              for k in OPERATOR_REQUIRED if k not in op]
+    errors += [f"unknown field hyperbolic.operator.{k}"
+               for k in op if k not in OPERATOR_REQUIRED + OPERATOR_OPTIONAL]
+    if (op.get("c") is None) == (hyp["c"] is None):
+        errors.append("give the speed as exactly one of hyperbolic.operator.c "
+                      "and hyperbolic.c")
+    return errors
 
 
 def config_hash(normalized: dict) -> str:
@@ -314,7 +334,7 @@ def cmd_check_hyperbolic(cfg, out, h):
                                (o["gamma1"], o["gamma2"]),
                                (o.get("gamma1_plus", o["gamma1"]),
                                 o.get("gamma2_plus", o["gamma2"])),
-                               o.get("c", 1.0))
+                               hc["c"] if o.get("c") is None else o["c"])
     else:
         op = build_problem(cfg["model"]).operator(hc["c"])
     report = asymptotic_hyperbolicity(op, tol=hc["tol"])
@@ -357,23 +377,22 @@ def cmd_continue(cfg, out, h):
                                max_iter=cfg["solver"]["max_iter"],
                                hyper_tol=c["hyper_tol"],
                                stop_on_pinning=c["stop_on_pinning"])
-    if c["parameter"]:
-        name, target = c["parameter"], c["target"]
-        if name not in ("d1", "d2", "a", "eps"):
-            raise ConfigError([f"continuation.parameter {name!r} unsupported"])
-        if target is None:
-            raise ConfigError(["continuation.target is required with a parameter"])
-        if name == "eps":
-            branch = continue_in_epsilon(problem, grid, ref, target, opts)
-        else:
-            def problem_of(v):
-                return build_problem(dict(cfg["model"], **{name: v}))
-            branch = continue_in_parameter(problem_of, cfg["model"][name],
-                                           target, grid, ref, opts)
+    name = c["parameter"] or "eps"
+    target = c["target"] if c["parameter"] else c["eps_to"]
+    if name not in ("d1", "d2", "a", "eps"):
+        raise ConfigError([f"continuation.parameter {name!r} unsupported"])
+    if target is None:
+        raise ConfigError(["continuation.target (with a parameter) or "
+                           "continuation.eps_to is required"])
+    if name == "eps":
+        branch = continue_in_epsilon(problem, grid, ref, target, opts)
     else:
-        branch = continue_in_epsilon(problem, grid, ref, c["eps_to"], opts)
-    write_csv(out / "branch.csv", branch.CSV_HEADER,
-              branch.csv_lines()[1:], h)
+        def problem_of(v):
+            return build_problem(dict(cfg["model"], **{name: v}))
+        branch = continue_in_parameter(name, problem_of, cfg["model"][name],
+                                       target, grid, ref, opts)
+    lines = branch.csv_lines()
+    write_csv(out / "branch.csv", lines[0], lines[1:], h)
     write_json(out / "branch.json", branch.to_json(), h)
     write_profile_csv(out / "profile.csv", grid.xi,
                       branch.final.solution.profile, h)
@@ -384,9 +403,8 @@ def cmd_continue(cfg, out, h):
 
 def cmd_fixed_point(cfg, out, h):
     problem = build_problem(cfg["model"])
-    eps = problem.eps
     grid, ref = _solve(cfg, problem.with_eps(0.0))
-    ctx = make_context(problem.with_eps(eps), grid, ref)
+    ctx = make_context(problem, grid, ref)
     sol, state = iterate(ctx, tol=cfg["fixedpoint"]["tol"],
                          max_iter=cfg["fixedpoint"]["max_iter"])
     rows = [f"{i},{_g17(s)},{_g17(c)},{_g17(l)}"
@@ -485,8 +503,8 @@ CONVERGENCE_ERRORS = (NewtonDivergenceError, DomainTooSmallError,
                       SingularSystemError, ContractionFailureError,
                       StepRejectedError, NoFrontError, BlowUpError,
                       NoRealRootError, TailFitError)
-CONFIG_ERRORS = (IncommensurableShiftError, DecoupledLatticeError,
-                 TransformError, StandingWaveError, ValueError, KeyError)
+# ValueError covers ConfigError and every input error the package raises
+CONFIG_ERRORS = (ValueError, KeyError)
 
 
 def _emit_error(kind: str, exc: Exception):
@@ -508,9 +526,6 @@ def run(command: str, config: dict, outdir=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         return DISPATCH[command](cfg, out, h)
-    except ConfigError as exc:
-        _emit_error("invalid_config", exc)
-        return EXIT_CONFIG
     except KernelObstructionError as exc:
         _emit_error("kernel_obstruction", exc)
         return EXIT_KERNEL

@@ -60,10 +60,9 @@ class BranchStep:
 
 @dataclass(frozen=True)
 class ContinuationBranch:
+    parameter: str                 # name of the continued value
     steps: tuple[BranchStep, ...]
     stop_reason: str
-
-    CSV_HEADER = "eps,c,newton_iters,min_char_modulus,kernel_dim"
 
     def __post_init__(self):
         if self.stop_reason not in STOP_REASONS:
@@ -82,12 +81,13 @@ class ContinuationBranch:
         return self.steps[-1]
 
     def csv_lines(self) -> list[str]:
-        return [self.CSV_HEADER] + [s.csv_row() for s in self.steps]
+        header = f"{self.parameter},c,newton_iters,min_char_modulus,kernel_dim"
+        return [header] + [s.csv_row() for s in self.steps]
 
     def to_json(self) -> dict:
         return {
             "stop_reason": self.stop_reason,
-            "steps": [{"eps": s.value, "c": s.solution.c,
+            "steps": [{self.parameter: s.value, "c": s.solution.c,
                        "newton_iters": s.solution.newton_iters,
                        "min_char_modulus": s.min_char_modulus,
                        "kernel_dim": s.kernel_dim,
@@ -105,17 +105,21 @@ def _audit(problem: WaveProblem, grid: Grid, solution: WaveSolution,
                       kernel_dim=kd)
 
 
-def _continue(problem_of, v0: float, v1: float, grid: Grid,
+def _continue(name: str, problem_of, v0: float, v1: float, grid: Grid,
               reference: WaveSolution, opts: ContinuationOptions) -> ContinuationBranch:
     steps: list[BranchStep] = []
+
+    def stop(reason: str) -> ContinuationBranch:
+        return ContinuationBranch(name, tuple(steps), reason)
+
     first = _audit(problem_of(v0), grid, reference, v0, opts)
     steps.append(first)
     if first.kernel_dim >= 2:
-        return ContinuationBranch(tuple(steps), "kernel_dimension_change")
+        return stop("kernel_dimension_change")
     if not first.hyperbolicity.verdict:
-        return ContinuationBranch(tuple(steps), "hyperbolicity_lost")
+        return stop("hyperbolicity_lost")
     if v1 == v0:
-        return ContinuationBranch(tuple(steps), "reached_target")
+        return stop("reached_target")
     ref_kernel_dim = first.kernel_dim
 
     direction = 1.0 if v1 > v0 else -1.0
@@ -140,19 +144,19 @@ def _continue(problem_of, v0: float, v1: float, grid: Grid,
         except (NewtonDivergenceError, SingularSystemError, DomainTooSmallError):
             step *= 0.5
             if step < opts.step_min:
-                return ContinuationBranch(tuple(steps), "step_underflow")
+                return stop("step_underflow")
             continue
         rec = _audit(problem_of(v_next), grid, sol, v_next, opts)
         steps.append(rec)
         prev, v = last, v_next
         if not rec.hyperbolicity.verdict:
-            return ContinuationBranch(tuple(steps), "hyperbolicity_lost")
+            return stop("hyperbolicity_lost")
         if rec.kernel_dim >= 2 or rec.kernel_dim != ref_kernel_dim:
-            return ContinuationBranch(tuple(steps), "kernel_dimension_change")
+            return stop("kernel_dimension_change")
         if opts.stop_on_pinning and sol.pinning_suspected:
-            return ContinuationBranch(tuple(steps), "pinning_suspected")
+            return stop("pinning_suspected")
         step *= opts.grow
-    return ContinuationBranch(tuple(steps), "reached_target")
+    return stop("reached_target")
 
 
 def continue_in_epsilon(problem: WaveProblem, grid: Grid,
@@ -160,13 +164,14 @@ def continue_in_epsilon(problem: WaveProblem, grid: Grid,
                         opts: ContinuationOptions = ContinuationOptions()
                         ) -> ContinuationBranch:
     """Homotopy in the perturbation weight from the problem's current eps."""
-    return _continue(problem.with_eps, problem.eps, eps_target, grid,
+    return _continue("eps", problem.with_eps, problem.eps, eps_target, grid,
                      reference, opts)
 
 
-def continue_in_parameter(problem_of, v0: float, target: float, grid: Grid,
-                          reference: WaveSolution,
+def continue_in_parameter(name: str, problem_of, v0: float, target: float,
+                          grid: Grid, reference: WaveSolution,
                           opts: ContinuationOptions = ContinuationOptions()
                           ) -> ContinuationBranch:
-    """Same machinery with the problem rebuilt per step by problem_of(value)."""
-    return _continue(problem_of, v0, target, grid, reference, opts)
+    """Same machinery with the problem rebuilt per step by problem_of(value);
+    `name` labels the values in the branch's CSV and JSON."""
+    return _continue(name, problem_of, v0, target, grid, reference, opts)

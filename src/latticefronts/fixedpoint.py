@@ -158,7 +158,7 @@ def speed_update(ctx: FixedPointContext, psi: np.ndarray) -> float:
     num_scale = math.sqrt(inner(w, Nval, Nval))
     if ctx.eps != 0.0:
         b0 = ctx.perturbation.apply(ctx.phi0)
-        b1 = ctx.perturbation.apply(psi, right=0.0)
+        b1 = (ctx.perturbation.C @ psi.ravel()).reshape(psi.shape)
         num += ctx.eps * (inner(w, b0, pm) + inner(w, b1, pm))
         num_scale += abs(ctx.eps) * (math.sqrt(inner(w, b0, b0))
                                      + math.sqrt(inner(w, b1, b1)))

@@ -162,7 +162,7 @@ def _operator_norms(op: MFDEOperator, end: int) -> float:
     return sum(norms.tolist()) + float(np.max(np.abs(op.gamma(end))))
 
 
-def _golden_refine(func, lo, hi, iters=60):
+def _golden_refine(func, lo, hi):
     """Golden-section minimization on every bracket [lo_k, hi_k] at once.
 
     func maps an array of points to an array of values; each step evaluates
@@ -173,7 +173,7 @@ def _golden_refine(func, lo, hi, iters=60):
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = func(x1), func(x2)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         left = f1 < f2
         a = np.where(left, a, x1)
         b = np.where(left, x2, b)
@@ -257,6 +257,7 @@ def _eig_realpart_certificate(op, end, period, grid_points):
 
 _SCAN_POINTS = 4096   # fewest points of a hyperbolicity scan
 _THETA_CAP = 1e4      # largest bound Theta the det scan covers directly
+_GOLDEN_ITERS = 60    # golden-section steps per refined minimum
 
 
 def is_hyperbolic(op: MFDEOperator, end: int, tol: float = 1e-8,

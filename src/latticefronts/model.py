@@ -39,6 +39,7 @@ _TWO_SITE_SCAN_POINTS = 10_000
 _FOUR_SITE_SEEDS = (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5)  # per axis of the seed grid
 _FOUR_SITE_NEWTON_ITERS = 50
 _EQUILIBRIUM_TOL = 1e-9          # largest input defect a transform accepts
+_CUBIC_MATCH_TOL = 1e-12         # largest relative f(0), f(1) of a matched cubic
 
 
 class DecoupledLatticeError(ValueError):
@@ -78,7 +79,6 @@ class LatticeModel:
     period: int
     couplings: dict[tuple[int, int], float]
     cubics: tuple[CubicNonlinearity, ...]
-    metadata: str = ""
 
     def __post_init__(self):
         if self.period < 1:
@@ -142,7 +142,6 @@ class InfiniteRangeModel:
     base: LatticeModel
     tail: dict[tuple[int, int], float]
     tail_bound: float
-    k0: int
     k_num: int
 
     def summability(self, lam: float) -> float:
@@ -159,8 +158,7 @@ class InfiniteRangeModel:
         for (n, k), a in self.tail.items():
             couplings[(n, k)] = couplings.get((n, k), 0.0) + eps * a
             couplings[(n, 0)] = couplings.get((n, 0), 0.0) - eps * a
-        return LatticeModel(self.base.period, couplings, self.base.cubics,
-                            metadata=self.base.metadata + f" +tail(eps={eps})")
+        return LatticeModel(self.base.period, couplings, self.base.cubics)
 
 
 def build_nagumo(d1: float, d2: float, a: float) -> LatticeModel:
@@ -174,8 +172,7 @@ def build_nagumo(d1: float, d2: float, a: float) -> LatticeModel:
         (0, 1): d1,
         (0, 2): d2,
     }
-    return LatticeModel(1, couplings, (CubicNonlinearity(1.0, a),),
-                        metadata=f"nagumo(d1={d1}, d2={d2}, a={a})")
+    return LatticeModel(1, couplings, (CubicNonlinearity(1.0, a),))
 
 
 def _bisect(g, lo: float, hi: float, tol: float = 1e-15) -> float:
@@ -239,15 +236,14 @@ def find_two_periodic_equilibria(d1: float, a: float) -> list[PeriodicState]:
     return states
 
 
-def _match_cubic(samples_v: np.ndarray, samples_f: np.ndarray,
-                 tol: float = 1e-12) -> CubicNonlinearity:
+def _match_cubic(samples_v: np.ndarray, samples_f: np.ndarray) -> CubicNonlinearity:
     """Fit f(v) = k v (v - a)(v - 1) through exact cubic samples."""
     coeffs = np.polynomial.polynomial.polyfit(samples_v, samples_f, 3)
     c0, c1, c2, c3 = coeffs
     scale = max(1.0, float(np.max(np.abs(coeffs))))
-    if abs(c0) > tol * scale:
+    if abs(c0) > _CUBIC_MATCH_TOL * scale:
         raise TransformError(f"transformed nonlinearity has f(0) = {c0:.3e} != 0")
-    if abs(c3 + c2 + c1 + c0) > tol * scale:
+    if abs(c3 + c2 + c1 + c0) > _CUBIC_MATCH_TOL * scale:
         raise TransformError("transformed nonlinearity does not vanish at 1")
     k = float(c3)
     if k == 0.0:
@@ -471,14 +467,12 @@ def build_infinite_range(a: float, q: float, scale: float,
     for k in range(1, k0 + 1):
         couplings[(0, k)] = couplings[(0, -k)] = scale * q**k
     couplings[(0, 0)] = -sum(v for (n, k), v in couplings.items() if k != 0)
-    base = LatticeModel(1, couplings, (CubicNonlinearity(1.0, a),),
-                        metadata=f"geometric(q={q}, scale={scale}, k0={k0})")
+    base = LatticeModel(1, couplings, (CubicNonlinearity(1.0, a),))
     tail = {}
     for k in range(k0 + 1, k_num + 1):
         tail[(0, k)] = tail[(0, -k)] = scale * q**k
     bound = 2.0 * scale * q ** (k_num + 1) / (1.0 - q)
-    return InfiniteRangeModel(base=base, tail=tail, tail_bound=bound,
-                              k0=k0, k_num=k_num)
+    return InfiniteRangeModel(base=base, tail=tail, tail_bound=bound, k_num=k_num)
 
 
 def tail_sum(model: InfiniteRangeModel) -> float:

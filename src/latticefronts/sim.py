@@ -37,6 +37,7 @@ _WINDOW = 0.5           # trailing share of the snapshots the speed fit and prof
 _PROFILE_STEP = 0.1     # xi spacing of the co-moving profile
 _PROFILE_MARGIN = 2.0   # its distance from the chain ends
 _MONOTONE_TOL = 1e-8    # largest backward step check_monotonicity ignores
+_SLOPE_RANGE = (-0.5, 1.5)  # u-interval of the reaction slope in the step guard
 
 
 class BlowUpError(RuntimeError):
@@ -53,8 +54,6 @@ class NoFrontError(RuntimeError):
 class SimState:
     sites: np.ndarray        # shape (M,)
     t: float
-    left_values: np.ndarray  # periodic pattern pinned at the left end
-    right_values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,6 @@ class Trajectory:
     model: LatticeModel
     times: np.ndarray
     states: np.ndarray       # shape (num_snapshots, M)
-    left_values: np.ndarray
-    right_values: np.ndarray
 
     @property
     def sites(self) -> int:
@@ -76,7 +73,6 @@ class SpeedMeasurement:
     fit_residual: float
     window: tuple[float, float]
     level: float
-    component: int
 
 
 @dataclass(frozen=True)
@@ -87,8 +83,8 @@ class MonotonicityReport:
     worst_index: int
 
 
-def _max_reaction_slope(model: LatticeModel, lo=-0.5, hi=1.5) -> float:
-    u = np.linspace(lo, hi, 257)
+def _max_reaction_slope(model: LatticeModel) -> float:
+    u = np.linspace(*_SLOPE_RANGE, 257)
     return max(float(np.max(np.abs(c.deriv(u)))) for c in model.cubics)
 
 
@@ -104,8 +100,7 @@ def front_state(model: LatticeModel, M: int, front_at: float = 0.25,
                 width: float = 2.0) -> SimState:
     """Logistic step from the equilibrium 0 on the left to 1 on the right."""
     s = 1.0 / (1.0 + np.exp(-(np.arange(M) - front_at * M) / width))
-    return SimState(sites=s, t=0.0, left_values=np.zeros(model.period),
-                    right_values=np.ones(model.period))
+    return SimState(sites=s, t=0.0)
 
 
 def _lattice_rhs(model: LatticeModel, M: int):
@@ -153,7 +148,7 @@ def _lattice_rhs(model: LatticeModel, M: int):
 
 def integrate(model: LatticeModel, init: SimState, dt: float, T: float,
               stride: int = 1) -> Trajectory:
-    """Classical RK4 with fixed step; boundary cells pinned every stage.
+    """Classical RK4 with fixed step; the end cells keep their initial values.
 
     Records the initial state, every ``stride``-th step and the last step.
     The stages run in preallocated buffers, in the operation order of
@@ -192,8 +187,7 @@ def integrate(model: LatticeModel, init: SimState, dt: float, T: float,
         if step % stride == 0 or step == steps:
             states[len(times)] = u
             times.append(init.t + step * dt)
-    return Trajectory(model=model, times=np.array(times), states=states,
-                      left_values=init.left_values, right_values=init.right_values)
+    return Trajectory(model=model, times=np.array(times), states=states)
 
 
 def _crossing_position(chain: np.ndarray, positions: np.ndarray, level: float):
@@ -228,7 +222,7 @@ def measure_speed(traj: Trajectory, level: float = 0.5) -> SpeedMeasurement:
     rms = float(np.sqrt(np.mean((positions - (slope * times + intercept)) ** 2)))
     return SpeedMeasurement(c_measured=float(-slope), fit_residual=rms,
                             window=(float(times[0]), float(times[-1])),
-                            level=level, component=0)
+                            level=level)
 
 
 def extract_profile(traj: Trajectory, c: float):

@@ -46,9 +46,7 @@ class NoRealRootError(RuntimeError):
 
 
 class ReducibleMatrixError(ValueError):
-    def __init__(self, msg, blocks=None):
-        super().__init__(msg)
-        self.blocks = blocks
+    pass
 
 
 class TailFitError(RuntimeError):
@@ -116,7 +114,7 @@ def principal_eigenpair(matrix: np.ndarray):
         if ncomp > 1:
             raise ReducibleMatrixError(
                 f"matrix is reducible into {ncomp} strongly connected blocks "
-                f"(labels {labels.tolist()})", blocks=labels)
+                f"(labels {labels.tolist()})")
     w, V = np.linalg.eig(B)
     i = int(np.argmax(w.real))
     v = V[:, i].real

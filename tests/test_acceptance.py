@@ -26,7 +26,7 @@ import pytest
 
 from latticefronts.bvp import (
     _deriv_matrix,
-    apply_coupling,
+    coupling_operator,
     epsilon_scaled_problem,
     infinite_range_problem,
     initial_guess,
@@ -330,8 +330,8 @@ def test_criterion_06_coupling_derivative_orthogonality():
         A1 = np.array([[0.0, d], [0.0, 0.0]]) + ed2 * np.eye(2)
         A2 = np.array([[-2 * d, d], [d, -2 * d]]) - 2 * ed2 * np.eye(2)
         A3 = np.array([[0.0, 0.0], [d, 0.0]]) + ed2 * np.eye(2)
-        Dphi = apply_coupling((-1.0, 0.0, 1.0), (A1, A2, A3), phi, 0.01,
-                              left=0.0, right=0.0)
+        C = coupling_operator((-1.0, 0.0, 1.0), (A1, A2, A3), len(phi), 2, 0.01).C
+        Dphi = (C @ phi.ravel()).reshape(phi.shape)
         val = float(np.sum(wq[:, None] * Dphi * phip))
         nrm = (math.sqrt(float(np.sum(wq[:, None] * phi * phi)))
                * math.sqrt(float(np.sum(wq[:, None] * phip * phip))))

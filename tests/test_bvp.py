@@ -16,9 +16,9 @@ from latticefronts.bvp import (
     IncommensurableShiftError,
     WaveProblem,
     WaveSolution,
-    apply_coupling,
     assemble_jacobian,
     assemble_residual,
+    coupling_operator,
     epsilon_scaled_problem,
     initial_guess,
     kernel_vectors,
@@ -113,7 +113,7 @@ def test_shifted_profile_clamps_to_equilibria():
     right = shifted_profile(p, 3)
     assert np.array_equal(right[:8], p[3:])
     assert np.all(right[8:] == 1.0)
-    left = shifted_profile(p, -2, left=0.0)
+    left = shifted_profile(p, -2)
     assert np.all(left[:2] == 0.0)
     assert np.array_equal(left[2:], p[:-2])
 
@@ -309,10 +309,9 @@ def test_linearization_matches_per_shift_kron_reference(N, h, data, seed):
     assert np.max(np.abs((L - ref).toarray())) <= 1e-14
 
     # the affine coupling C p + b against clamped shifted copies
-    left, right = rng.uniform(-1.0, 1.0, 2)
-    clamped = sum(shifted_profile(profile, round(r / h), left, right) @ A.T
+    clamped = sum(shifted_profile(profile, round(r / h)) @ A.T
                   for r, A in zip(shifts, mats))
-    got = apply_coupling(shifts, mats, profile, h, left=left, right=right)
+    got = coupling_operator(shifts, mats, n, N, h).apply(profile)
     assert np.max(np.abs(got - clamped)) <= 1e-13
 
 
@@ -367,8 +366,7 @@ def test_kernel_of_exactly_singular_linearization():
                           cubics=(CubicNonlinearity(0.0, 0.3),))
     grid = make_grid(40.0, 1.0, problem.all_shifts)
     sol = WaveSolution(grid=grid, c=1.0, profile=initial_guess(grid),
-                       residual_norm=0.0, newton_iters=0, phase_component=0,
-                       phase_level=0.5, phase_location=0.0,
+                       residual_norm=0.0, newton_iters=0, phase_location=0.0,
                        pinning_suspected=False)
     L = linearization_matrix(problem, grid, sol.profile, sol.c)
     with pytest.raises(RuntimeError, match="exactly singular"):

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from latticefronts import __version__
@@ -109,6 +110,40 @@ def test_gamma_degenerate_operator_exits_3(tmp_path, capsys):
     assert abs(worst["theta_at_min"]) <= 1e-4
 
 
+OPERATOR = {"d_e": 0.05, "d_o": 0.05, "gamma1": 0.8, "gamma2": 0.7}
+
+
+def test_check_hyperbolic_rejects_unknown_operator_key(tmp_path, capsys):
+    cfg = {"hyperbolic": {"operator": dict(OPERATOR, gama1_plus=0.3, c=0.2)}}
+    assert run("check-hyperbolic", cfg, tmp_path) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["violations"] == ["unknown field hyperbolic.operator.gama1_plus"]
+
+
+def test_check_hyperbolic_reads_block_speed_with_operator(tmp_path, capsys):
+    block = {"hyperbolic": {"c": 0.2, "operator": OPERATOR}}
+    inner = {"hyperbolic": {"operator": dict(OPERATOR, c=0.2)}}
+    assert run("check-hyperbolic", block, tmp_path / "block") == 0
+    assert run("check-hyperbolic", inner, tmp_path / "inner") == 0
+    reports = [json.loads((tmp_path / d / "report.json").read_text())
+               for d in ("block", "inner")]
+    assert reports[0]["entries"] == reports[1]["entries"]
+    # Theta of the operator at c = 0.2; at c = 1 it would be 2.05
+    assert abs(reports[0]["entries"][0]["Theta"] - 10.25) <= 1e-12
+
+
+def test_check_hyperbolic_needs_exactly_one_speed(tmp_path, capsys):
+    both = {"hyperbolic": {"c": 0.2, "operator": dict(OPERATOR, c=0.2)}}
+    neither = {"hyperbolic": {"operator": OPERATOR}}
+    missing = {"hyperbolic": {"operator": {"d_e": 0.05, "d_o": 0.05,
+                                           "gamma2": 0.7, "c": 0.2}}}
+    for cfg, violation in ((both, "hyperbolic.c"), (neither, "hyperbolic.c"),
+                           (missing, "hyperbolic.operator.gamma1")):
+        assert run("check-hyperbolic", cfg, tmp_path) == 4
+        err = json.loads(capsys.readouterr().err.strip())
+        assert len(err["violations"]) == 1 and violation in err["violations"][0]
+
+
 def test_decoupled_four_site_exits_5(tmp_path, capsys):
     cfg = {"model": {"kind": "four_site", "d1": 0.0, "d2": 1.0, "a": 0.3},
            "grid": {}}
@@ -127,6 +162,55 @@ def test_equilibria_command(tmp_path, capsys):
     payload = json.loads((tmp_path / "equilibria.json").read_text())
     assert len(payload["states"]) >= 5
     assert all(st["residual"] <= 1e-9 for st in payload["states"])
+
+
+def test_equilibria_command_period_four(tmp_path, capsys):
+    cfg = {"model": {"kind": "nagumo", "d1": 0.0, "d2": 1.0, "a": 0.3,
+                     "period": 4}}
+    assert run("equilibria", cfg, tmp_path) == 0
+    payload = json.loads((tmp_path / "equilibria.json").read_text())
+    assert payload["period"] == 4
+    assert len(payload["states"]) == 9
+
+
+def test_transform4_command(tmp_path, capsys):
+    cfg = {"model": {"kind": "four_site", "d1": 0.0, "d2": 1.0, "a": 0.3}}
+    assert run("transform4", cfg, tmp_path) == 0
+    payload = json.loads((tmp_path / "model.json").read_text())
+    for key in ("A1", "A2", "A3", "A1_ref", "A2_ref", "A3_ref", "B2"):
+        assert np.shape(payload[key]) == (4, 4)
+    assert len(payload["cubics"]) == 4
+    # the default pair is the nearest found states to 0^4 and 1^4
+    ends = payload["provenance"]
+    assert np.max(np.abs(ends["minus"])) <= 1e-12
+    assert np.max(np.abs(np.subtract(ends["plus"], 1.0))) <= 1e-12
+
+
+NAGUMO_CONTINUE = {"model": {"kind": "nagumo", "d1": 1.0, "a": 0.3}, "grid": {}}
+
+
+def test_continue_in_model_parameter(tmp_path, capsys):
+    cfg = dict(NAGUMO_CONTINUE,
+               continuation={"parameter": "a", "target": 0.35})
+    assert run("continue", cfg, tmp_path) == 0
+    lines = (tmp_path / "branch.csv").read_text().splitlines()
+    assert lines[1] == "a,c,newton_iters,min_char_modulus,kernel_dim"
+    steps = json.loads((tmp_path / "branch.json").read_text())["steps"]
+    assert [s["a"] for s in steps] == [0.3, 0.35]
+    assert abs(steps[0]["c"] - 0.28329) <= 1e-5
+    assert abs(steps[1]["c"] - 0.21272) <= 1e-5
+    assert all(s["kernel_dim"] == 1 and s["hyperbolic"] for s in steps)
+
+
+@pytest.mark.parametrize("continuation, violation", [
+    ({"parameter": "q", "target": 0.35}, "'q' unsupported"),
+    ({"parameter": "a"}, "continuation.target (with a parameter)"),
+    ({"eps_to": None}, "continuation.eps_to is required")])
+def test_continue_config_errors_exit_4(tmp_path, capsys, continuation, violation):
+    cfg = dict(NAGUMO_CONTINUE, continuation=continuation)
+    assert run("continue", cfg, tmp_path) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert violation in err["message"]
 
 
 def test_transform2_command(tmp_path, capsys):

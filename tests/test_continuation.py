@@ -107,4 +107,4 @@ def test_unknown_stop_reason_rejected(perturbed_nagumo):
     problem, grid, sol = perturbed_nagumo
     branch = continue_in_epsilon(problem, grid, sol, 0.0)
     with pytest.raises(ValueError):
-        ContinuationBranch(branch.steps, "gave_up")
+        ContinuationBranch("eps", branch.steps, "gave_up")

@@ -1,8 +1,9 @@
 """Source hygiene of the package, checked on the syntax tree: no module
 imports a name it does not use, every name a module lists in ``__all__`` is
 bound there (the benchmark's tracer looks the functions up by ``__all__``,
-so a stale entry breaks it), and every defaulted parameter of a public
-function is passed by some call in the package or the tests."""
+so a stale entry breaks it), every defaulted parameter of a function or
+method is passed by some call in the package or the tests, and every
+annotated class field is read by some attribute access there."""
 
 import ast
 from pathlib import Path
@@ -104,30 +105,65 @@ def _passes(call: ast.Call, position: int | None, name: str) -> bool:
     return position is not None and written > position
 
 
-def _options(func: ast.FunctionDef) -> list[tuple[int | None, str]]:
-    """(position or None if keyword-only, name) of each defaulted parameter."""
+def _options(func: ast.FunctionDef, bound: bool) -> list[tuple[int | None, str]]:
+    """(position or None if keyword-only, name) of each defaulted parameter;
+    a method's positions count from the first parameter after self/cls."""
     positional = func.args.posonlyargs + func.args.args
     first = len(positional) - len(func.args.defaults)
-    opts = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    skip = 1 if bound else 0
+    opts = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= first]
     opts += [(None, a.arg) for a, d in zip(func.args.kwonlyargs, func.args.kw_defaults)
              if d is not None]
     return opts
 
 
+def _functions(tree: ast.Module):
+    """(name a call uses, whether self/cls is bound, node) of every function
+    and method, nested ones included; ``__init__`` is called by its class."""
+    methods = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    methods[item] = node.name
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        if node not in methods:
+            yield node.name, False, node
+            continue
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        name = methods[node] if node.name == "__init__" else node.name
+        yield name, not static, node
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
                          ids=lambda p: p.stem)
 def test_every_option_is_set_by_a_caller(path):
-    """A defaulted parameter of a public function that no call in the
-    package or the tests passes is a constant in disguise: each such option
-    doubles the configurations the tests would have to cover."""
-    tree = _tree(path)
-    public = set(_all_names(tree))
+    """A defaulted parameter that no call in the package or the tests passes
+    is a constant in disguise: each such option doubles the configurations
+    the tests would have to cover."""
     calls = _calls()
     unset = []
-    for node in tree.body:
-        if not isinstance(node, ast.FunctionDef) or node.name not in public:
-            continue
-        mine = [c for c in calls if _callee(c) == node.name]
-        unset += [f"{node.name}({name})" for position, name in _options(node)
-                  if not any(_passes(c, position, name) for c in mine)]
+    for name, bound, node in _functions(_tree(path)):
+        mine = [c for c in calls if _callee(c) == name]
+        unset += [f"{name}({param})" for position, param in _options(node, bound)
+                  if not any(_passes(c, position, param) for c in mine)]
     assert not unset, f"{path.name}: options no caller sets {unset}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.stem)
+def test_every_field_is_read(path):
+    """An annotated class field that no attribute access in the package or
+    the tests reads is state that every constructor call must still fill."""
+    read = {node.attr for p in MODULES + sorted(TESTS.glob("*.py"))
+            for node in ast.walk(_tree(p))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls.name}.{item.target.id}"
+              for cls in ast.walk(_tree(path)) if isinstance(cls, ast.ClassDef)
+              for item in cls.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+              and item.target.id not in read]
+    assert not unread, f"{path.name}: fields nothing reads {unread}"

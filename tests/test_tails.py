@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from latticefronts.bvp import infinite_range_problem
+from latticefronts.bvp import infinite_range_problem, nagumo_problem
 from latticefronts.mfde import characteristic_matrix
 from latticefronts.model import build_infinite_range, build_nagumo
 from latticefronts.tails import (
@@ -149,6 +150,19 @@ def test_periodic_rate_signs(nagumo_front):
     mu_p, _ = periodic_decay_rate(model, +1, sol.c)
     assert mu_m > 0.0
     assert mu_p < 0.0
+
+
+def test_periodic_rate_widens_its_bracket_for_a_fast_front():
+    # at c = 3000 the -inf rate lies beyond the first bracket (1e-12, 10]
+    a, c = 0.3, 3000.0
+    mu, vec = periodic_decay_rate(build_nagumo(1.0, 0.0, a), -1, c)
+    assert mu > 10.0
+    root = brentq(lambda m: c * m - 2.0 * (math.cosh(m) - 1.0) + a, 10.0, 20.0,
+                  xtol=1e-15, rtol=1e-15, maxiter=200)
+    assert abs(mu - root) <= 1e-10
+    lam0 = tail_report_constant(nagumo_problem(1.0, 0.0, a).operator(c)).lambda0
+    assert abs(mu - lam0) <= 1e-10
+    assert vec.tolist() == [1.0]
 
 
 def test_periodic_rate_needs_nonzero_speed():
