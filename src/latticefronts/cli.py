@@ -83,6 +83,7 @@ REQUIRED_BLOCKS = {
 }
 
 MODEL_KINDS = ("nagumo", "eps_scaled", "two_site", "four_site", "infinite_range")
+CONTINUED = ("d1", "d2", "a", "eps")   # parameters `continue` can move
 
 # keys of an explicit two-site operator for check-hyperbolic; the speed comes
 # from exactly one of its "c" and hyperbolic.c
@@ -137,6 +138,13 @@ def validate(config: dict, command: str):
             errors.append(f"{path} = {value} must be positive")
     if command == "check-hyperbolic":
         errors += _operator_errors(normalized["hyperbolic"])
+    cont = normalized["continuation"]
+    if command == "continue" and (cont["parameter"] or "eps") not in CONTINUED:
+        errors.append(f"continuation.parameter {cont['parameter']!r} unsupported")
+    if command == "continue" and (
+            cont["target"] if cont["parameter"] else cont["eps_to"]) is None:
+        errors.append("continuation.target (with a parameter) or "
+                      "continuation.eps_to is required")
     if command == "tails" and normalized["tails"]["c"] in (None, 0.0):
         errors.append("tails.c must be a nonzero speed")
     if command == "sweep":
@@ -379,11 +387,6 @@ def cmd_continue(cfg, out, h):
                                stop_on_pinning=c["stop_on_pinning"])
     name = c["parameter"] or "eps"
     target = c["target"] if c["parameter"] else c["eps_to"]
-    if name not in ("d1", "d2", "a", "eps"):
-        raise ConfigError([f"continuation.parameter {name!r} unsupported"])
-    if target is None:
-        raise ConfigError(["continuation.target (with a parameter) or "
-                           "continuation.eps_to is required"])
     if name == "eps":
         branch = continue_in_epsilon(problem, grid, ref, target, opts)
     else:
@@ -420,7 +423,7 @@ def cmd_fixed_point(cfg, out, h):
 def cmd_simulate(cfg, out, h):
     model = build_lattice(cfg["model"])
     sc = cfg["sim"]
-    init = front_state(model, int(sc["M"]), sc["front_at"], width=sc["width"])
+    init = front_state(int(sc["M"]), sc["front_at"], width=sc["width"])
     traj = integrate(model, init, sc["dt"], sc["T"], stride=int(sc["stride"]))
     speed = measure_speed(traj, level=sc["level"])
     xi, prof, scatter, warn = extract_profile(traj, speed.c_measured)

@@ -190,12 +190,21 @@ def _bisect(g, lo: float, hi: float, tol: float = 1e-15) -> float:
     return 0.5 * (lo + hi)
 
 
-def _dedup_sorted(points, key, tol):
-    out = []
-    for p in sorted(points, key=key):
-        if not out or abs(key(p) - key(out[-1])) > tol:
-            out.append(p)
-    return out
+def _clusters(exact, points, tol):
+    """One row per cluster of the rows of exact and points: in lexicographic
+    order, a row farther than tol (max norm) from each cluster's first row
+    starts a cluster.  An exact row, else the first, represents its cluster."""
+    rows = np.unique(np.concatenate([exact, points]), axis=0)
+    exact = set(exact)
+    first, out, m = np.empty_like(rows), np.empty_like(rows), 0
+    for v in rows:
+        near = np.flatnonzero(np.max(np.abs(first[:m] - v), axis=1) <= tol)
+        if len(near) == 0:
+            first[m] = out[m] = v
+            m += 1
+        elif tuple(v) in exact:
+            out[near[0]] = v
+    return out[:m]
 
 
 def find_two_periodic_equilibria(d1: float, a: float) -> list[PeriodicState]:
@@ -203,7 +212,7 @@ def find_two_periodic_equilibria(d1: float, a: float) -> list[PeriodicState]:
 
     Scans g(x) = f_a(x) + f_a(x + f_a(x)/(2 d1)) for sign changes on
     _TWO_SITE_SCAN and bisects.  The homogeneous states (0,0), (a,a), (1,1)
-    are always included.
+    are always included, exactly, in place of nearby round-off roots.
     """
     if d1 == 0.0:
         raise DecoupledLatticeError(
@@ -219,13 +228,10 @@ def find_two_periodic_equilibria(d1: float, a: float) -> list[PeriodicState]:
 
     xs = np.linspace(*_TWO_SITE_SCAN, _TWO_SITE_SCAN_POINTS)
     gs = g(xs)
-    roots = [0.0, a, 1.0]
     sign_change = np.flatnonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)
-    for i in sign_change:
-        x = _bisect(g, xs[i], xs[i + 1])
-        if abs(g(x)) <= 1e-12:
-            roots.append(x)
-    roots = _dedup_sorted(roots, key=lambda x: x, tol=1e-9)
+    roots = [x for x in (_bisect(g, xs[i], xs[i + 1]) for i in sign_change)
+             if abs(g(x)) <= 1e-12]
+    roots = _clusters([(0.0,), (a,), (1.0,)], np.reshape(roots, (-1, 1)), 1e-9)[:, 0]
 
     states = []
     for x in roots:
@@ -341,12 +347,11 @@ def find_four_periodic_equilibria(d1: float, d2: float, a: float) -> list[Period
 
     All seeds iterate together.  A seed stops as converged once its residual
     is at most 1e-13, and as failed on a singular Jacobian, a non-finite
-    step or a step longer than 10.
+    step or a step longer than 10.  The homogeneous states 0, a and 1 are
+    always included, exactly, in place of nearby converged seeds.
     """
     f = CubicNonlinearity(1.0, a)
-    seeds = _FOUR_SITE_SEEDS
-    found = np.array([np.full(4, v) for v in (0.0, a, 1.0)], dtype=float)
-    u = np.array(np.meshgrid(seeds, seeds, seeds, seeds)).reshape(4, -1).T.astype(float)
+    u = np.array(np.meshgrid(*[_FOUR_SITE_SEEDS] * 4)).reshape(4, -1).T.astype(float)
     active = np.ones(len(u), bool)
     ok = np.zeros(len(u), bool)
     for _ in range(_FOUR_SITE_NEWTON_ITERS):
@@ -364,18 +369,8 @@ def find_four_periodic_equilibria(d1: float, d2: float, a: float) -> list[Period
         active[idx[~good]] = False
         u[idx[good]] += step[good]
     conv = u[ok]
-    found = np.concatenate([
-        found, conv[np.max(np.abs(_four_site_rhs(conv, d1, d2, f)), axis=1) <= 1e-12]])
-
-    # first of each cluster in lexicographic order; an exact repeat never
-    # starts a cluster, so np.unique (sorted rows) only shortens the loop
-    uniq = np.empty_like(found)
-    m = 0
-    for v in np.unique(found, axis=0):
-        if not np.any(np.max(np.abs(uniq[:m] - v), axis=1) <= 1e-8):
-            uniq[m] = v
-            m += 1
-    uniq = uniq[:m]
+    conv = conv[np.max(np.abs(_four_site_rhs(conv, d1, d2, f)), axis=1) <= 1e-12]
+    uniq = _clusters([(v,) * 4 for v in (0.0, a, 1.0)], conv, 1e-8)
     return [
         PeriodicState(4, tuple(float(c) for c in u),
                       float(np.max(np.abs(_four_site_rhs(u, d1, d2, f)))))

@@ -96,8 +96,7 @@ def stability_dt_max(model: LatticeModel) -> float:
     return 0.25 / (float(np.max(per_site)) + _max_reaction_slope(model))
 
 
-def front_state(model: LatticeModel, M: int, front_at: float = 0.25,
-                width: float = 2.0) -> SimState:
+def front_state(M: int, front_at: float = 0.25, width: float = 2.0) -> SimState:
     """Logistic step from the equilibrium 0 on the left to 1 on the right."""
     s = 1.0 / (1.0 + np.exp(-(np.arange(M) - front_at * M) / width))
     return SimState(sites=s, t=0.0)

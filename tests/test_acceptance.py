@@ -112,7 +112,7 @@ def test_criterion_02_bvp_vs_simulation(nagumo_front):
     t0 = time.monotonic()
     problem, grid, sol = nagumo_front
     model = build_nagumo(1.0, 0.0, 0.3)
-    init = front_state(model, 200, front_at=0.7)
+    init = front_state(200, front_at=0.7)
     dt = stability_dt_max(model)
     traj = integrate(model, init, dt, 250.0, stride=5)
     speed = measure_speed(traj)

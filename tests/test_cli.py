@@ -180,10 +180,10 @@ def test_transform4_command(tmp_path, capsys):
     for key in ("A1", "A2", "A3", "A1_ref", "A2_ref", "A3_ref", "B2"):
         assert np.shape(payload[key]) == (4, 4)
     assert len(payload["cubics"]) == 4
-    # the default pair is the nearest found states to 0^4 and 1^4
+    # the default pair is 0^4 -> 1^4, found exactly
     ends = payload["provenance"]
-    assert np.max(np.abs(ends["minus"])) <= 1e-12
-    assert np.max(np.abs(np.subtract(ends["plus"], 1.0))) <= 1e-12
+    assert ends["minus"] == [0.0, 0.0, 0.0, 0.0]
+    assert ends["plus"] == [1.0, 1.0, 1.0, 1.0]
 
 
 NAGUMO_CONTINUE = {"model": {"kind": "nagumo", "d1": 1.0, "a": 0.3}, "grid": {}}
@@ -211,6 +211,51 @@ def test_continue_config_errors_exit_4(tmp_path, capsys, continuation, violation
     assert run("continue", cfg, tmp_path) == 4
     err = json.loads(capsys.readouterr().err.strip())
     assert violation in err["message"]
+    # validate lists it with the other violations, before any solve
+    cfg["grid"] = {"h": -1}
+    assert run("continue", cfg, tmp_path) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert len(err["violations"]) == 2
+    assert any(violation in v for v in err["violations"])
+    assert any(v.startswith("grid.h = -1") for v in err["violations"])
+    assert not (tmp_path / "branch.csv").exists()
+
+
+# criterion 03's traveling two-site pair (0,0) -> (1,1), at eps = 0.05
+TWO_SITE_FIXED_POINT = {
+    "model": {"kind": "two_site", "d1": 1.0, "d2": -0.1, "a": 0.3, "eps": 0.05,
+              "minus": [0.0, 0.0], "plus": [1.0, 1.0]},
+    "grid": {}}
+
+
+def test_fixed_point_command(tmp_path, capsys):
+    names = ("history.csv", "state.json", "profile.csv")
+    for run_dir in ("a", "b"):
+        assert run("fixed-point", TWO_SITE_FIXED_POINT, tmp_path / run_dir) == 0
+    state = json.loads((tmp_path / "a" / "state.json").read_text())
+    assert state["contraction_ratio"] < 1.0
+    assert abs(state["c"] - 0.14624) <= 1e-5
+    for name in names:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+
+
+def test_fixed_point_on_decoupled_four_site_exits_5(tmp_path, capsys):
+    cfg = {"model": {"kind": "four_site", "d1": 0.0, "d2": 1.0, "a": 0.3},
+           "grid": {}}
+    assert run("fixed-point", cfg, tmp_path) == 5
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "kernel_obstruction"
+    assert err["type"] == "KernelObstructionError"
+
+
+def test_newton_budget_exhausted_exits_2(tmp_path, capsys):
+    cfg = {"model": {"kind": "nagumo"}, "grid": {}, "solver": {"max_iter": 1}}
+    assert run("solve-wave", cfg, tmp_path) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "convergence_failure"
+    assert err["type"] == "NewtonDivergenceError"
+    assert not (tmp_path / "solution.json").exists()
 
 
 def test_transform2_command(tmp_path, capsys):
@@ -278,7 +323,7 @@ def test_simulate_trajectory_matches_per_row_writer(tmp_path, capsys):
     cfg = validate(SMALL_SIM, "simulate")
     sc = cfg["sim"]
     model = build_nagumo(1.0, 0.0, 0.3)
-    init = front_state(model, sc["M"], sc["front_at"], width=sc["width"])
+    init = front_state(sc["M"], sc["front_at"], width=sc["width"])
     traj = integrate(model, init, sc["dt"], sc["T"], stride=sc["stride"])
     # 200 steps: the last snapshot is not on a stride
     assert len(traj.times) == 1 + 200 // 3 + 1

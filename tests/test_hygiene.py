@@ -2,8 +2,9 @@
 imports a name it does not use, every name a module lists in ``__all__`` is
 bound there (the benchmark's tracer looks the functions up by ``__all__``,
 so a stale entry breaks it), every defaulted parameter of a function or
-method is passed by some call in the package or the tests, and every
-annotated class field is read by some attribute access there."""
+method is passed by some call in the package or the tests, every parameter
+is read in its function's body, and every annotated class field is read by
+some attribute access there."""
 
 import ast
 from pathlib import Path
@@ -151,6 +152,22 @@ def test_every_option_is_set_by_a_caller(path):
         unset += [f"{name}({param})" for position, param in _options(node, bound)
                   if not any(_passes(c, position, param) for c in mine)]
     assert not unset, f"{path.name}: options no caller sets {unset}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    """A parameter its body never reads changes nothing, yet every caller
+    must still pass it."""
+    unread = []
+    for _name, _bound, node in _functions(_tree(path)):
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{node.name}({p})" for p in params if p not in read]
+    assert not unread, f"{path.name}: parameters never read {unread}"
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],

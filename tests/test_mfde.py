@@ -1,6 +1,7 @@
 """Characteristic matrices and asymptotic hyperbolicity checks."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticefronts import build_infinite_range, infinite_range_problem
+from latticefronts import build_infinite_range, infinite_range_problem, two_site_problem
+from latticefronts import mfde
 from latticefronts.mfde import (
     MFDEOperator,
     StandingWaveError,
@@ -303,6 +305,84 @@ def test_report_entries_state_their_resolution():
                     else 2.0 * math.pi)
             assert 0.0 < entry.dtheta <= span / 4095
             assert entry.to_json()["dtheta"] == entry.dtheta
+
+
+# --------------------------------------------------------------------------
+# adjoint entries from the symbol identity Delta*(i theta) = Delta(i theta)^H
+
+@st.composite
+def two_site_operators(draw, speeds):
+    """Two-site limit operators with independent gammas at the two ends."""
+    d_e, d_o = draw(st.floats(0.01, 2.0)), draw(st.floats(-2.0, 2.0))
+    d2, eps = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.0, 1.0))
+    g1, g2, g1p, g2p = (draw(st.floats(-1.0, 2.0)) for _ in range(4))
+    return two_site_operator(d_e, d_o, d2, eps, (g1, g2), (g1p, g2p), draw(speeds))
+
+
+def assert_adjoint_entries_match_adjoint_scans(op, method):
+    """Each adjoint entry of the report agrees with a scan of adjoint(op)."""
+    adj = adjoint(op)
+    report = asymptotic_hyperbolicity(op)
+    assert [(e.end, e.adjoint) for e in report.entries] == [
+        (-1, False), (-1, True), (1, False), (1, True)]
+    for entry in report.entries[1::2]:
+        ref = is_hyperbolic(adj, entry.end)
+        assert entry.method == ref.method == method
+        assert entry.verdict == ref.verdict
+        # at a zero of det (say gamma = 0 in the two-site family) both values
+        # are rounding noise with no relative precision; the verdicts agree
+        if ref.verdict:
+            assert (abs(entry.min_modulus - ref.min_modulus)
+                    <= 1e-6 * max(entry.min_modulus, ref.min_modulus))
+        assert (entry.theta_bound == ref.theta_bound
+                or abs(entry.theta_bound - ref.theta_bound) <= 1e-12 * ref.theta_bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_operators().filter(lambda op: abs(op.c) >= 0.05),
+                 two_site_operators(st.floats(0.05, 2.0))))
+def test_adjoint_entries_match_adjoint_det_scans(op):
+    assert_adjoint_entries_match_adjoint_scans(op, "det-scan")
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_site_operators(st.just(0.0)))
+def test_adjoint_entries_match_adjoint_eig_certificates(op):
+    assert_adjoint_entries_match_adjoint_scans(op, "eig-realpart-certificate")
+
+
+def test_report_scans_each_end_once(monkeypatch):
+    calls = []
+    scan = mfde.is_hyperbolic
+    monkeypatch.setattr(mfde, "is_hyperbolic",
+                        lambda op, end, tol: calls.append(end) or scan(op, end, tol))
+    monkeypatch.setattr(mfde, "adjoint", lambda op: pytest.fail("adjoint built"))
+    for op in (nagumo_operator(1.0, 0.0, 0.3, 0.27),
+               two_site_operator(0.05, 0.05, 0.0, 0.0, (0.9, 0.9), (0.9, 0.9), 0.0)):
+        calls.clear()
+        assert len(asymptotic_hyperbolicity(op).entries) == 4
+        assert calls == [-1, 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), st.floats(0.01, 2.0), st.floats(0.01, 2.0),
+       st.floats(-1.0, 1.0), st.floats(0.0, 1.0), st.floats(-2.0, 2.0))
+def test_two_site_problem_and_operator_share_matrices(
+        traveling_two_site_system, two_site_system, swapped, d_e, d_o, d2, eps, c):
+    """bvp.two_site_problem and mfde.two_site_operator write out the same
+    shift matrices: the limit operators agree entry for entry."""
+    system = dataclasses.replace(
+        two_site_system if swapped else traveling_two_site_system,
+        d_e=d_e, d_o=d_o, d2=d2)
+    got = two_site_problem(system, eps).operator(c)
+    f_e, f_o = system.f_e, system.f_o
+    want = two_site_operator(d_e, d_o, d2, eps, (f_e.deriv(0.0), f_o.deriv(0.0)),
+                             (f_e.deriv(1.0), f_o.deriv(1.0)), c)
+    assert got.shifts == want.shifts and got.c == want.c
+    for A, B in zip(got.matrices, want.matrices):
+        assert np.array_equal(A, B)
+    assert np.array_equal(got.gamma_minus, want.gamma_minus)
+    assert np.array_equal(got.gamma_plus, want.gamma_plus)
 
 
 def test_report_worst_entry_consistent():

@@ -95,6 +95,18 @@ def test_two_periodic_equilibria_closed_form():
         assert state.residual <= 1e-9
 
 
+@pytest.mark.parametrize("d1, a", [(1.0, 0.3), (-0.05, 0.5), (-0.3, 0.2)])
+def test_two_periodic_homogeneous_states_are_exact(d1, a):
+    # bisection also finds round-off roots such as -3.6e-16 and
+    # 0.29999999999999993; the exact states represent their clusters
+    values = [st.values for st in find_two_periodic_equilibria(d1, a)]
+    for hom in (0.0, a, 1.0):
+        assert (hom, hom) in values
+        assert not any(0.0 < max(abs(x - hom), abs(y - hom)) <= 1e-9
+                       for x, y in values)
+    assert values == sorted(values)
+
+
 def test_two_periodic_equilibria_come_in_swapped_pairs():
     states = find_two_periodic_equilibria(-0.05, 0.5)
     arrays = [st.as_array() for st in states]
@@ -175,6 +187,19 @@ def test_four_periodic_contains_homogeneous():
         assert min(np.max(np.abs(arr - hom)) for arr in arrays) <= 1e-9
 
 
+@pytest.mark.parametrize("d1, d2, a", [(0.0, 1.0, 0.3), (1.0, 0.0, 0.3)])
+def test_four_periodic_homogeneous_states_are_exact(d1, d2, a):
+    # Newton from the seed grid lands within 1e-12 of 0^4, for example at
+    # (-5.97e-14, ...); the exact state represents that cluster
+    states = find_four_periodic_equilibria(d1, d2, a)
+    values = [st.values for st in states]
+    for hom in (0.0, a, 1.0):
+        k = values.index((hom,) * 4)
+        assert states[k].residual == 0.0
+        assert not any(0.0 < np.max(np.abs(np.subtract(v, hom))) <= 1e-8
+                       for v in values)
+
+
 def reference_four_periodic_sweep(d1, d2, a):
     """One Newton loop per seed, as the sweep was first written."""
     from latticefronts.model import _FOUR_SITE_SEEDS, _four_site_rhs
@@ -200,11 +225,18 @@ def reference_four_periodic_sweep(d1, d2, a):
             u = u + step
         if ok and np.max(np.abs(_four_site_rhs(u, d1, d2, f))) <= 1e-12:
             found.append(u)
-    uniq = []
+    # first of each cluster in lexicographic order, but an exact homogeneous
+    # state represents the cluster it falls in
+    exact = {(0.0,) * 4, (a,) * 4, (1.0,) * 4}
+    firsts, reps = [], []
     for u in sorted(found, key=lambda v: tuple(v)):
-        if not any(np.max(np.abs(u - v)) <= 1e-8 for v in uniq):
-            uniq.append(u)
-    return [tuple(float(c) for c in u) for u in uniq]
+        near = [k for k, v in enumerate(firsts) if np.max(np.abs(u - v)) <= 1e-8]
+        if not near:
+            firsts.append(u)
+            reps.append(tuple(float(c) for c in u))
+        elif tuple(u) in exact:
+            reps[near[0]] = tuple(float(c) for c in u)
+    return reps
 
 
 @pytest.mark.parametrize("d1, d2, a", [(0.0, 1.0, 0.3), (-0.05, 0.01, 0.5)])

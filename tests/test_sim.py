@@ -30,7 +30,7 @@ def nagumo_model():
 
 @pytest.fixture(scope="module")
 def nagumo_traj(nagumo_model):
-    init = front_state(nagumo_model, 200, front_at=0.7)
+    init = front_state(200, front_at=0.7)
     dt = stability_dt_max(nagumo_model)
     return integrate(nagumo_model, init, dt, 150.0, stride=5)
 
@@ -42,13 +42,13 @@ def test_stability_guard_value(nagumo_model):
     # stencil magnitude 4 plus the worst cubic slope on [-1/2, 3/2]
     dt_max = stability_dt_max(nagumo_model)
     assert 0.02 < dt_max < 0.06
-    init = front_state(nagumo_model, 100)
+    init = front_state(100)
     with pytest.raises(ValueError):
         integrate(nagumo_model, init, 2.0 * dt_max, 1.0)
 
 
-def test_front_state_shape(nagumo_model):
-    init = front_state(nagumo_model, 120, front_at=0.4)
+def test_front_state_shape():
+    init = front_state(120, front_at=0.4)
     assert init.sites.shape == (120,)
     assert init.sites[0] <= 1e-6
     assert init.sites[-1] >= 1.0 - 1e-6
@@ -109,7 +109,7 @@ def test_private_csr_matvec_adds_into_its_output():
     (build_nagumo(1.0, 0.0, 0.3), True),
     (build_infinite_range(0.3, 0.5, 1.0, 1, 40).full_model(0.1), False)])
 def test_rhs_matches_per_coupling_loop(model, exact):
-    init = front_state(model, 400)
+    init = front_state(400)
     u = init.sites + 0.01 * np.random.default_rng(4).standard_normal(400)
     got = _lattice_rhs(model, 400)(u)
     want = reference_rhs(model, u, np.zeros(model.period), np.ones(model.period))
@@ -151,7 +151,7 @@ RK4_MODELS = {
 @pytest.mark.parametrize("name", sorted(RK4_MODELS))
 def test_integrate_matches_allocating_rk4(name):
     model = RK4_MODELS[name]
-    init = front_state(model, 400)
+    init = front_state(400)
     dt = 0.9 * stability_dt_max(model)
     # 191, 188 and 143 steps: the last one is not on a stride
     traj = integrate(model, init, dt, 6.0, stride=7)
@@ -166,7 +166,7 @@ def test_integrate_matches_allocating_rk4(name):
 def test_integrate_matches_allocating_rk4_property(T, dt_frac, stride, start):
     """Any T, dt and stride, whether or not the stride divides the steps."""
     model = RK4_MODELS["nagumo-d2"]
-    init = dataclasses.replace(front_state(model, 60, front_at=0.4), t=start)
+    init = dataclasses.replace(front_state(60, front_at=0.4), t=start)
     dt = dt_frac * stability_dt_max(model)
     traj = integrate(model, init, dt, T, stride=stride)
     times, states = reference_integrate(model, init, dt, T, stride)
@@ -177,7 +177,7 @@ def test_integrate_matches_allocating_rk4_property(T, dt_frac, stride, start):
 
 
 def test_blow_up_time_matches_allocating_rk4(nagumo_model):
-    init = front_state(nagumo_model, 80)
+    init = front_state(80)
     seeded = dataclasses.replace(init, sites=init.sites.copy())
     seeded.sites[40] = 1e200
     dt = stability_dt_max(nagumo_model)
@@ -192,7 +192,7 @@ def test_blow_up_time_matches_allocating_rk4(nagumo_model):
 
 def test_integrate_rejects_nonpositive_stride(nagumo_model):
     with pytest.raises(ValueError):
-        integrate(nagumo_model, front_state(nagumo_model, 60), 0.02, 1.0, stride=0)
+        integrate(nagumo_model, front_state(60), 0.02, 1.0, stride=0)
 
 
 # --------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def two_periodic_traj():
     model = LatticeModel(2, {(0, -1): 1.0, (0, 0): -2.0, (0, 1): 1.0,
                              (1, -1): 1.0, (1, 0): -2.0, (1, 1): 1.0},
                          (CubicNonlinearity(1.0, 0.3), CubicNonlinearity(1.5, 0.35)))
-    init = front_state(model, 200, front_at=0.6)
+    init = front_state(200, front_at=0.6)
     return integrate(model, init, stability_dt_max(model), 60.0, stride=4)
 
 
