@@ -136,6 +136,12 @@ def validate(config: dict, command: str):
              normalized["continuation"]["step0"] > 0)):
         if not cond:
             errors.append(f"{path} = {value} must be positive")
+    for a, b in (("minus_index", "plus_index"), ("minus", "plus")):
+        if (m[a] is None) != (m[b] is None):
+            errors.append(f"model.{a} and model.{b} must be given together")
+    errors += [f"model.{k} = {m[k]!r} must be a non-negative integer"
+               for k in ("minus_index", "plus_index")
+               if m[k] is not None and (type(m[k]) is not int or m[k] < 0)]
     if command == "check-hyperbolic":
         errors += _operator_errors(normalized["hyperbolic"])
     cont = normalized["continuation"]
@@ -222,7 +228,7 @@ def write_profile_csv(path: Path, xi, profile, h: str):
 def _select_pair(states, m):
     nontrivial = [st for st in states
                   if max(st.values) - min(st.values) > 1e-9]
-    if m["minus"] is not None and m["plus"] is not None:
+    if m["minus"] is not None:              # validate requires plus too
         def nearest(target):
             arr = np.asarray(target, dtype=float)
             best = min(states, key=lambda st: np.max(np.abs(st.as_array() - arr)))
@@ -230,8 +236,12 @@ def _select_pair(states, m):
                 raise ConfigError([f"state {target} not found among equilibria"])
             return best
         return nearest(m["minus"]), nearest(m["plus"])
-    if m["minus_index"] is not None and m["plus_index"] is not None:
-        return states[int(m["minus_index"])], states[int(m["plus_index"])]
+    if m["minus_index"] is not None:        # validate requires plus_index too
+        errors = [f"model.{k} = {m[k]} is out of range: there are {len(states)} equilibria"
+                  for k in ("minus_index", "plus_index") if m[k] >= len(states)]
+        if errors:
+            raise ConfigError(errors)
+        return states[m["minus_index"]], states[m["plus_index"]]
     if not nontrivial:
         raise ConfigError(["no non-homogeneous equilibria to connect; give "
                            "model.minus/model.plus explicitly"])
@@ -247,7 +257,7 @@ def _two_site_system(m: dict) -> TwoSiteSystem:
 def _four_site_system(m: dict) -> FourSiteSystem:
     """Four-site transform of the selected pair, by default 0^4 -> 1^4."""
     states = find_four_periodic_equilibria(m["d1"], m["d2"], m["a"])
-    if m["minus"] is None and m["plus"] is None and m["minus_index"] is None:
+    if m["minus"] is None and m["minus_index"] is None:
         m = dict(m, minus=[0.0] * 4, plus=[1.0] * 4)
     minus, plus = _select_pair(states, m)
     return four_site_transform(m["d1"], m["d2"], m["a"], minus, plus)

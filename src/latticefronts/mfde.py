@@ -73,7 +73,7 @@ class MFDEOperator:
         return np.array(self.shifts)[order], np.array(self.matrices, dtype=float)[order]
 
 
-# Points per block of a characteristic-matrix stack: the (block, shifts)
+# Points per block of a characteristic-matrix stack: the (shifts, block)
 # exponential table stays small whatever the scan length and shift count.
 _BLOCK = 512
 
@@ -91,20 +91,20 @@ def characteristic_matrices(op: MFDEOperator, end: int, s) -> np.ndarray:
     fixed = np.diag(op.gamma(end)).astype(complex)
     eye = np.eye(n)
     out = np.empty((len(s), n, n), dtype=complex)
-    terms = np.empty((min(len(s), _BLOCK), len(shifts) + 1, n, n), dtype=complex)
+    terms = np.empty((len(shifts) + 1, min(len(s), _BLOCK), n, n), dtype=complex)
     for k in range(0, len(s), _BLOCK):
         blk = s[k:k + _BLOCK]
-        t = terms[:len(blk)]
+        t = terms[:, :len(blk)]
         with np.errstate(over="raise"):
-            np.multiply(np.exp(np.multiply.outer(blk, shifts))[:, :, None, None],
-                        mats, out=t[:, 1:])
-        t[:, 0] = (op.c * blk)[:, None, None] * eye + fixed
+            np.multiply(np.exp(np.multiply.outer(shifts, blk))[:, :, None, None],
+                        mats[:, None], out=t[1:])
+        t[0] = (op.c * blk)[:, None, None] * eye + fixed
         # (c s I + diag(gamma)) - A_1 e^{s r_1} - A_2 e^{s r_2} - ..., in
-        # increasing shift order: the scans' flat minima are located in the
-        # last bits, so the sum keeps the rounding of a plain per-shift loop,
-        # not a matrix product's, and does not depend on the order in which
-        # the operator lists its shifts
-        np.subtract.reduce(t, axis=1, out=out[k:k + _BLOCK])
+        # increasing shift order, one (block, N, N) slice per shift: the scans'
+        # flat minima are located in the last bits, so the sum keeps the
+        # rounding of a plain per-shift loop, not a matrix product's, and does
+        # not depend on the order in which the operator lists its shifts
+        np.subtract.reduce(t, axis=0, out=out[k:k + _BLOCK])
     return out
 
 
@@ -165,25 +165,17 @@ def _operator_norms(op: MFDEOperator, end: int) -> float:
     return sum(norms.tolist()) + float(np.max(np.abs(op.gamma(end))))
 
 
-def _golden_refine(func, lo, hi):
-    """Golden-section minimization on every bracket [lo_k, hi_k] at once.
-
-    func maps an array of points to an array of values; each step evaluates
-    it once, on one new point per bracket.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+def _zoom_refine(func, lo, hi):
+    """Minimize func, which maps an array of points to their values, on every
+    bracket [lo_k, hi_k] at once.  Each of _ZOOM_ROUNDS calls takes _ZOOM_POINTS
+    equally spaced points of every bracket and keeps the two cells around the
+    least value; returns the final midpoints and their values."""
     a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = func(x1), func(x2)
-    for _ in range(_GOLDEN_ITERS):
-        left = f1 < f2
-        a = np.where(left, a, x1)
-        b = np.where(left, x2, b)
-        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
-        fx = func(x)
-        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
-        f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
+    k, u = np.arange(len(a)), np.linspace(0.0, 1.0, _ZOOM_POINTS)
+    for _ in range(_ZOOM_ROUNDS):
+        x = a[:, None] + (b - a)[:, None] * u
+        i = np.argmin(func(x.ravel()).reshape(x.shape), axis=1)
+        a, b = x[k, np.maximum(i - 1, 0)], x[k, np.minimum(i + 1, _ZOOM_POINTS - 1)]
     x = 0.5 * (a + b)
     return x, func(x)
 
@@ -218,8 +210,8 @@ def _scan_detmin(op, end, theta_max, grid_points):
     dets = f(thetas)
     interior = np.flatnonzero((dets[1:-1] <= dets[:-2]) & (dets[1:-1] <= dets[2:])) + 1
     candidates = np.union1d(interior, [0, len(thetas) - 1])
-    t, v = _golden_refine(f, thetas[np.maximum(candidates - 1, 0)],
-                          thetas[np.minimum(candidates + 1, len(thetas) - 1)])
+    t, v = _zoom_refine(f, thetas[np.maximum(candidates - 1, 0)],
+                        thetas[np.minimum(candidates + 1, len(thetas) - 1)])
     k = int(np.argmin(v))
     if v[k] < dets[0]:
         return float(t[k]), float(v[k])
@@ -249,8 +241,8 @@ def _eig_realpart_certificate(op, end, period, grid_points):
 
     vals = min_realpart(thetas[: (grid_points + 1) // 2])
     i = int(np.argmin(vals))
-    t, v = _golden_refine(min_realpart, thetas[[max(i - 1, 0)]],
-                          thetas[[min(i + 1, len(thetas) - 1)]])
+    t, v = _zoom_refine(min_realpart, thetas[[max(i - 1, 0)]],
+                        thetas[[min(i + 1, len(thetas) - 1)]])
     t, v = float(t[0]), float(v[0])
     if vals[i] < v:
         t, v = float(thetas[i]), float(vals[i])
@@ -260,7 +252,8 @@ def _eig_realpart_certificate(op, end, period, grid_points):
 
 _SCAN_POINTS = 4096   # fewest points of a hyperbolicity scan
 _THETA_CAP = 1e4      # largest bound Theta the det scan covers directly
-_GOLDEN_ITERS = 60    # golden-section steps per refined minimum
+_ZOOM_POINTS = 17     # a zoom round keeps 2 of 16 cells of a bracket, and
+_ZOOM_ROUNDS = 14     # 8^-14 = 2.3e-13 < 0.618^60, the share 60 golden steps keep
 
 
 def is_hyperbolic(op: MFDEOperator, end: int, tol: float = 1e-8) -> HyperbolicityEntry:

@@ -38,6 +38,8 @@ _TWO_SITE_SCAN = (-2.0, 3.0)     # x-interval of the period-2 scan
 _TWO_SITE_SCAN_POINTS = 10_000
 _FOUR_SITE_SEEDS = (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5)  # per axis of the seed grid
 _FOUR_SITE_NEWTON_ITERS = 50
+_ROOT_LEVELS = 5                 # bisection steps per round of a root refinement
+_ROOT_ROUNDS = 40                # most rounds of a root refinement (200 steps)
 _EQUILIBRIUM_TOL = 1e-9          # largest input defect a transform accepts
 _CUBIC_MATCH_TOL = 1e-12         # largest relative f(0), f(1) of a matched cubic
 
@@ -175,19 +177,34 @@ def build_nagumo(d1: float, d2: float, a: float) -> LatticeModel:
     return LatticeModel(1, couplings, (CubicNonlinearity(1.0, a),))
 
 
-def _bisect(g, lo: float, hi: float, tol: float = 1e-15) -> float:
-    """Root of g in a sign-change bracket, either order, to tol*max(1, |root|)."""
-    glo = g(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0 or abs(hi - lo) < tol * max(1.0, abs(mid)):
-            return mid
-        if (glo < 0) == (gm < 0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _refine_roots(g, lo, hi, tol: float) -> np.ndarray:
+    """Roots of g by bisection of every sign-change bracket [lo_k, hi_k],
+    either order, to an exact zero or to |hi - lo| < tol * max(1, |mid|),
+    capped at _ROOT_ROUNDS calls of g.  Each call takes the lo of every open
+    bracket and the midpoints, rounded as bisection rounds them, that its
+    next _ROOT_LEVELS steps may visit."""
+    n = 2 ** _ROOT_LEVELS
+    brackets = np.stack([lo, hi], axis=1).astype(float).tolist()
+    roots = [None] * len(brackets)
+    for _ in range(_ROOT_ROUNDS):
+        todo = [i for i, r in enumerate(roots) if r is None]
+        if not todo:
+            break
+        x = np.empty((len(todo), n + 1))
+        x[:, [0, n]] = [brackets[i] for i in todo]
+        for h in n >> np.arange(1, _ROOT_LEVELS + 1):
+            x[:, h::2 * h] = 0.5 * (x[:, :-h:2 * h] + x[:, 2 * h::2 * h])
+        values = g(x[:, :-1].ravel()).reshape(len(todo), n).tolist()
+        for i, xs, v in zip(todo, x.tolist(), values):
+            il, ih = 0, n
+            while roots[i] is None and ih - il > 1:
+                im = (il + ih) // 2
+                if v[im] == 0.0 or abs(xs[ih] - xs[il]) < tol * max(1.0, abs(xs[im])):
+                    roots[i] = xs[im]
+                else:
+                    il, ih = (im, ih) if (v[im] < 0.0) == (v[0] < 0.0) else (il, im)
+            brackets[i] = [xs[il], xs[ih]]
+    return np.array([0.5 * (a + b) if r is None else r for r, (a, b) in zip(roots, brackets)])
 
 
 def _clusters(exact, points, tol):
@@ -211,8 +228,8 @@ def find_two_periodic_equilibria(d1: float, a: float) -> list[PeriodicState]:
     """Period-2 equilibria (x, y) with y on the branch y = x + f_a(x)/(2 d1).
 
     Scans g(x) = f_a(x) + f_a(x + f_a(x)/(2 d1)) for sign changes on
-    _TWO_SITE_SCAN and bisects.  The homogeneous states (0,0), (a,a), (1,1)
-    are always included, exactly, in place of nearby round-off roots.
+    _TWO_SITE_SCAN and refines the roots.  The homogeneous states (0,0), (a,a),
+    (1,1) are always included, exactly, in place of nearby round-off roots.
     """
     if d1 == 0.0:
         raise DecoupledLatticeError(
@@ -229,8 +246,8 @@ def find_two_periodic_equilibria(d1: float, a: float) -> list[PeriodicState]:
     xs = np.linspace(*_TWO_SITE_SCAN, _TWO_SITE_SCAN_POINTS)
     gs = g(xs)
     sign_change = np.flatnonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)
-    roots = [x for x in (_bisect(g, xs[i], xs[i + 1]) for i in sign_change)
-             if abs(g(x)) <= 1e-12]
+    roots = _refine_roots(g, xs[sign_change], xs[sign_change + 1], 1e-15)
+    roots = roots[np.abs(g(roots)) <= 1e-12]
     roots = _clusters([(0.0,), (a,), (1.0,)], np.reshape(roots, (-1, 1)), 1e-9)[:, 0]
 
     states = []

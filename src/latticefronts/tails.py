@@ -8,7 +8,6 @@ loop.  Rates size the truncation domain of the boundary-value solver.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .mfde import MFDEOperator, characteristic_matrices, characteristic_matrix
-from .model import InfiniteRangeModel, LatticeModel, _bisect
+from .model import InfiniteRangeModel, LatticeModel, _refine_roots
 
 __all__ = [
     "TailReport",
@@ -35,7 +34,7 @@ __all__ = [
 
 _LAM_MAX = 20.0           # the root scan covers |lambda| <= _LAM_MAX
 _ROOT_SCAN_POINTS = 8000
-_ROOT_TOL = 1e-12         # relative bracket width of the tail-rate bisections
+_ROOT_TOL = 1e-12         # relative bracket width of the tail-rate root refinements
 _FIT_WINDOW = 0.5         # fit_tail's share of the grid at each end
 _FIT_FLOOR = 1e-12        # fit_tail's amplitude range
 _FIT_CEILING = 1e-2
@@ -68,28 +67,27 @@ class TailReport:
                 "eigvec1": list(map(float, self.eigvec1))}
 
 
-def _real_det(op: MFDEOperator, end: int, lam: float) -> float:
-    return float(np.real(np.linalg.det(characteristic_matrix(op, end, complex(lam)))))
-
-
 def decay_rates_constant(op: MFDEOperator, end: int) -> list[float]:
     """Real roots of det Delta(lambda) = 0 at one end, sorted ascending.
 
     The caller picks the smallest positive root at -inf or the largest
     negative root at +inf as the front's decay rate.  The scan covers
     |lambda| <= _LAM_MAX, narrowed to |lambda| <= 700 / max|r_j| so that
-    every e^{lambda r_j} stays inside the float range.  Each sign change
-    is bisected to a bracket narrower than _ROOT_TOL * max(1, |lambda|).
+    every e^{lambda r_j} stays inside the float range.  All sign changes
+    are refined at once, to brackets below _ROOT_TOL * max(1, |lambda|).
     """
     if op.c == 0.0:
         raise ValueError("tail roots need a nonzero speed")
     r_max = max(abs(r) for r in op.shifts)
     lam_max = min(_LAM_MAX, 700.0 / r_max) if r_max > 0.0 else _LAM_MAX
+
+    def real_det(lam):
+        return np.real(np.linalg.det(characteristic_matrices(op, end, lam)))
+
     lams = np.linspace(-lam_max, lam_max, _ROOT_SCAN_POINTS)
-    vals = np.real(np.linalg.det(characteristic_matrices(op, end, lams)))
-    sign_change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-    roots = [_bisect(lambda lam: _real_det(op, end, lam), lams[i], lams[i + 1], _ROOT_TOL)
-             for i in sign_change]
+    vals = real_det(lams)
+    change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+    roots = _refine_roots(real_det, lams[change], lams[change + 1], _ROOT_TOL).tolist()
     exact_zeros = lams[vals == 0.0]
     roots.extend(float(z) for z in exact_zeros if abs(z) > _ROOT_TOL)
     return sorted(roots)
@@ -121,29 +119,31 @@ def principal_eigenpair(matrix: np.ndarray):
     return float(w[i].real), v / v[np.argmax(np.abs(v))]
 
 
-def folded_weight_matrix(model: LatticeModel, mu: float) -> np.ndarray:
-    """N x N matrix with entries sum_k a_{n,k} e^{k mu} folded to the period."""
-    N = model.period
-    M = np.zeros((N, N))
-    for (n, k), a in model.couplings.items():
-        M[n, (n + k) % N] += a * math.exp(k * mu)
-    return M
+def folded_weight_matrix(model: LatticeModel, mu) -> np.ndarray:
+    """N x N matrix with entries sum_k a_{n,k} e^{k mu} folded to the period,
+    added in the order of model.couplings; one per entry of an array mu."""
+    N, (n, k) = model.period, np.array(list(model.couplings)).T
+    with np.errstate(over="raise"):
+        terms = np.exp(np.multiply.outer(mu, k)) * list(model.couplings.values())
+    M = np.zeros(np.shape(mu) + (N * N,))
+    np.add.at(M, (..., n * N + (n + k) % N), terms)
+    return M.reshape(np.shape(mu) + (N, N))
 
 
-def dispersion_value(model: LatticeModel, gammas: np.ndarray, c: float,
-                     mu: float) -> float:
-    """c mu - lambda_principal(M(mu) - diag(gamma)); zero at a tail rate."""
+def dispersion_value(model: LatticeModel, gammas: np.ndarray, c: float, mu):
+    """c mu - lambda_principal(M(mu) - diag(gamma)) for a number or an array
+    mu; zero at a tail rate.  The conditions of principal_eigenpair, which
+    depend on the sign pattern alone, are the caller's to check."""
     Q = folded_weight_matrix(model, mu) - np.diag(gammas)
-    lam, _v = principal_eigenpair(Q)
-    return c * mu - lam
+    return c * mu - np.max(np.linalg.eigvals(Q).real, axis=-1)
 
 
 def periodic_decay_rate(model: LatticeModel, end: int, c: float):
     """Tail rate mu and positive per-site weights for periodic media.
 
-    Solves c mu = lambda_principal(M(mu) - diag(gamma)) by bisection,
-    with mu > 0 at the -inf end and mu < 0 at +inf.  gamma holds the
-    cubic slopes at the equilibrium of that end (0 or 1).
+    Solves c mu = lambda_principal(M(mu) - diag(gamma)), with mu > 0 at the
+    -inf end and mu < 0 at +inf, and checks Perron-Frobenius at the root.
+    gamma holds the cubic slopes at the equilibrium of that end (0 or 1).
     """
     if c == 0.0:
         raise ValueError("dispersion relation needs a nonzero speed")
@@ -153,20 +153,15 @@ def periodic_decay_rate(model: LatticeModel, end: int, c: float):
     def g(mu):
         return dispersion_value(model, gammas, c, mu)
 
-    lo, hi = (1e-12, 10.0) if end < 0 else (-10.0, -1e-12)
-    for _ in range(4):
-        a, b = (lo, hi) if end < 0 else (hi, lo)
-        if g(a) * g(b) < 0:
+    for far in (10.0, 20.0, 40.0, 80.0):
+        a, b = -end * 1e-12, -end * far
+        if np.prod(g(np.array([a, b]))) < 0:
             break
-        if end < 0:
-            hi *= 2.0
-        else:
-            lo *= 2.0
     else:
         raise NoRealRootError(
             f"no bracketing interval for the tail rate at end {end:+d}; "
             "the front may not decay exponentially there")
-    mu = _bisect(g, a, b, _ROOT_TOL)
+    mu = float(_refine_roots(g, [a], [b], _ROOT_TOL)[0])
     _lam, v = principal_eigenpair(folded_weight_matrix(model, mu) - np.diag(gammas))
     return mu, v
 

@@ -265,6 +265,36 @@ def test_transform2_command(tmp_path, capsys):
     assert abs(payload["d_e"] * payload["d_o"] - 0.05**2) <= 1e-12
 
 
+@pytest.mark.parametrize("model, violation", [
+    ({"minus_index": 0, "plus_index": 99}, "model.plus_index = 99 is out of range"),
+    ({"minus_index": 99, "plus_index": 0}, "model.minus_index = 99 is out of range"),
+    ({"minus_index": 0}, "model.minus_index and model.plus_index must be given together"),
+    ({"plus_index": 2}, "model.minus_index and model.plus_index must be given together"),
+    ({"minus": [0.0, 0.0]}, "model.minus and model.plus must be given together"),
+    ({"plus": [1.0, 1.0]}, "model.minus and model.plus must be given together"),
+    ({"minus_index": -1, "plus_index": 2},
+     "model.minus_index = -1 must be a non-negative integer"),
+    ({"minus_index": 0, "plus_index": 1.0},
+     "model.plus_index = 1.0 must be a non-negative integer"),
+])
+def test_transform2_pair_selection_errors_exit_4(tmp_path, capsys, model, violation):
+    cfg = {"model": {"kind": "two_site", "d1": -0.05, "a": 0.5, **model}}
+    assert run("transform2", cfg, tmp_path) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "invalid_config"
+    assert any(v.startswith(violation) for v in err["violations"])
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_transform2_index_error_names_the_equilibria_count(tmp_path, capsys):
+    cfg = {"model": {"kind": "two_site", "d1": -0.05, "a": 0.5,
+                     "minus_index": 0, "plus_index": 99}}
+    assert run("transform2", cfg, tmp_path) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["violations"] == [
+        "model.plus_index = 99 is out of range: there are 9 equilibria"]
+
+
 def test_tails_command_requires_speed(tmp_path, capsys):
     cfg = {"model": {"kind": "nagumo"}, "tails": {}}
     assert run("tails", cfg, tmp_path) == 4

@@ -13,7 +13,7 @@ from latticefronts.model import (
     DecoupledLatticeError,
     LatticeModel,
     TransformError,
-    _bisect,
+    _refine_roots,
     build_infinite_range,
     build_nagumo,
     find_four_periodic_equilibria,
@@ -50,7 +50,7 @@ def test_cubic_bistable_sign_pattern():
 
 
 # --------------------------------------------------------------------------
-# bisection shared by the equilibria scan and the tail rates
+# root refinement shared by the equilibria scan and the tail rates
 
 @settings(max_examples=200, deadline=None)
 @given(root=st.floats(-1e3, 1e3), a3=st.floats(0.01, 100.0),
@@ -72,8 +72,39 @@ def test_bisect_finds_root_of_monotone_cubic(root, a3, a1, skew, sign, left,
     if reverse:
         lo, hi = hi, lo
     assert g(lo) * g(hi) < 0.0
-    x = _bisect(g, lo, hi, tol)
+    x = _refine_roots(g, [lo], [hi], tol)[0]
     assert abs(x - root) <= tol * max(1.0, abs(root))
+
+
+def _bisect_reference(g, lo, hi, tol):
+    """Scalar bisection, one call of g per step, with the refiner's stop rule."""
+    glo = g(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if gm == 0.0 or abs(hi - lo) < tol * max(1.0, abs(mid)):
+            return mid
+        if (glo < 0) == (gm < 0):
+            lo, glo = mid, gm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(brackets=st.lists(st.tuples(st.integers(-20, 20), st.floats(1e-3, 1.5),
+                                   st.floats(1e-3, 1.5), st.booleans()),
+                         min_size=1, max_size=6),
+       tol=st.sampled_from([1e-15, 1e-12, 1e-8]))
+def test_refining_brackets_together_equals_refining_each_alone(brackets, tol):
+    # sin changes sign once in [k pi - left, k pi + right], at k pi
+    lo = [k * math.pi + (right if rev else -left) for k, left, right, rev in brackets]
+    hi = [k * math.pi + (-left if rev else right) for k, left, right, rev in brackets]
+    together = _refine_roots(np.sin, lo, hi, tol)
+    for x, a, b, (k, *_) in zip(together, lo, hi, brackets):
+        assert x == _refine_roots(np.sin, [a], [b], tol)[0]
+        assert x == _bisect_reference(np.sin, a, b, tol)
+        assert abs(x - k * math.pi) <= tol * max(1.0, abs(k * math.pi)) + 1e-14
 
 
 # --------------------------------------------------------------------------
@@ -97,7 +128,7 @@ def test_two_periodic_equilibria_closed_form():
 
 @pytest.mark.parametrize("d1, a", [(1.0, 0.3), (-0.05, 0.5), (-0.3, 0.2)])
 def test_two_periodic_homogeneous_states_are_exact(d1, a):
-    # bisection also finds round-off roots such as -3.6e-16 and
+    # root refinement also finds round-off roots such as -3.6e-16 and
     # 0.29999999999999993; the exact states represent their clusters
     values = [st.values for st in find_two_periodic_equilibria(d1, a)]
     for hom in (0.0, a, 1.0):

@@ -9,7 +9,13 @@ from scipy.optimize import brentq
 
 from latticefronts.bvp import infinite_range_problem, nagumo_problem
 from latticefronts.mfde import characteristic_matrix
-from latticefronts.model import build_infinite_range, build_nagumo
+from latticefronts import tails
+from latticefronts.model import (
+    CubicNonlinearity,
+    LatticeModel,
+    build_infinite_range,
+    build_nagumo,
+)
 from latticefronts.tails import (
     NoRealRootError,
     ReducibleMatrixError,
@@ -163,6 +169,28 @@ def test_periodic_rate_widens_its_bracket_for_a_fast_front():
     lam0 = tail_report_constant(nagumo_problem(1.0, 0.0, a).operator(c)).lambda0
     assert abs(mu - lam0) <= 1e-10
     assert vec.tolist() == [1.0]
+
+
+def test_periodic_rate_checks_perron_frobenius_once(monkeypatch):
+    calls = []
+    components = tails.connected_components
+    monkeypatch.setattr(tails, "connected_components",
+                        lambda *a, **k: calls.append(a) or components(*a, **k))
+    couplings = {(0, -1): 1.0, (0, 0): -2.0, (0, 1): 1.0,
+                 (1, -1): 0.5, (1, 0): -1.0, (1, 1): 0.5}
+    model = LatticeModel(2, couplings, (CubicNonlinearity(1.0, 0.3),
+                                        CubicNonlinearity(1.0, 0.4)))
+    mu, vec = periodic_decay_rate(model, -1, 0.2)
+    assert len(calls) == 1
+    assert mu > 0.0 and np.all(vec > 0.0)
+    gammas = np.array([0.3, 0.4])
+    assert abs(dispersion_value(model, gammas, 0.2, mu)) <= 1e-9
+    # the stacked dispersion values are those of one mu at a time
+    mus = np.linspace(0.1, 2.0, 7)
+    stacked = dispersion_value(model, gammas, 0.2, mus)
+    one = [0.2 * m - principal_eigenpair(folded_weight_matrix(model, m) - np.diag(gammas))[0]
+           for m in mus]
+    assert np.max(np.abs(stacked - one)) <= 1e-13
 
 
 def test_periodic_rate_needs_nonzero_speed():
