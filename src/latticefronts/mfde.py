@@ -235,15 +235,21 @@ def _eig_realpart_certificate(op, end, period, grid_points):
     thetas = np.linspace(0.0, period, grid_points)
     eye = np.eye(op.dimension)
 
-    def min_realpart(t):
+    def realparts(t):
         q = characteristic_matrices(op, end, 1j * t) - (1j * op.c * t)[:, None, None] * eye
-        return np.min(np.abs(np.real(np.linalg.eigvals(q))), axis=-1)
+        return np.real(np.linalg.eigvals(q))
 
-    vals = min_realpart(thetas[: (grid_points + 1) // 2])
+    re = realparts(thetas[: (grid_points + 1) // 2])
+    vals = np.min(np.abs(re), axis=-1)
     i = int(np.argmin(vals))
-    t, v = _zoom_refine(min_realpart, thetas[[max(i - 1, 0)]],
-                        thetas[[min(i + 1, len(thetas) - 1)]])
-    t, v = float(t[0]), float(v[0])
+    # the count in the right half plane changes where an eigenvalue crosses
+    # the axis, also in a spike the grid steps over: refine those cells too
+    cross = np.flatnonzero(np.diff(np.count_nonzero(re > 0.0, axis=-1)))
+    t, v = _zoom_refine(lambda s: np.min(np.abs(realparts(s)), axis=-1),
+                        thetas[np.append(max(i - 1, 0), cross)],
+                        thetas[np.append(min(i + 1, len(thetas) - 1), cross + 1)])
+    k = int(np.argmin(v))
+    t, v = float(t[k]), float(v[k])
     if vals[i] < v:
         t, v = float(thetas[i]), float(vals[i])
     # a bracket around the last point of the half may refine past the middle

@@ -177,12 +177,11 @@ def test_eig_certificate_calls_the_stack_once_per_round(monkeypatch):
     assert value > 0.0 and 0.0 <= theta <= math.pi
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "sampled eigenvalue certificate: min |Re lambda| is 1/32 on 690 of the 2048 "
-    "half-grid points, tied up to rounding, and falls to zero in a spike narrower "
-    "than dtheta = 1.5e-3; rounding decides which tied point is refined, so the "
-    "operator's entry misses the zero that its adjoint's scan finds"))
 def test_eig_certificate_finds_a_zero_narrower_than_its_grid():
+    # min |Re lambda| is 1/32 on 690 of the 2048 half-grid points, tied up to
+    # rounding, and falls to zero in a spike narrower than dtheta = 1.5e-3:
+    # the least grid point alone does not lead to the zero, but the number of
+    # eigenvalues in the right half plane changes across the spike's cell
     op = MFDEOperator(shifts=(-1.0, 0.0, 1.0),
                       matrices=(np.array([[0.0, 1.375], [0.0, 0.0]]),
                                 np.array([[-2.75, 1.375], [-1.5625, 3.125]]),
