@@ -90,14 +90,13 @@ class Grid:
 
 def _grid_steps(shifts, h: float) -> tuple[int, ...]:
     """Shifts in whole grid cells; raises if one is off the grid."""
-    steps = []
-    for r in shifts:
-        m = r / h
-        if abs(m - round(m)) > 1e-12 * max(1.0, abs(m)):
-            raise IncommensurableShiftError(
-                f"shift r={r} is not an integer multiple of the grid spacing h={h}")
-        steps.append(round(m))
-    return tuple(steps)
+    m = np.asarray(shifts, dtype=float) / h
+    cells = np.rint(m)
+    off = np.abs(m - cells) > 1e-12 * np.maximum(1.0, np.abs(m))
+    if off.any():
+        raise IncommensurableShiftError(
+            f"shift r={shifts[off.argmax()]} is not an integer multiple of the grid spacing h={h}")
+    return tuple(cells.astype(np.int64).tolist())
 
 
 def make_grid(L: float, h: float, shifts) -> Grid:
@@ -130,7 +129,12 @@ class WaveProblem:
         return tuple(sorted(set(self.shifts) | set(self.pert_shifts)))
 
     def effective_coupling(self):
-        """Base plus eps-scaled perturbation, merged per shift."""
+        """Base plus eps-scaled perturbation, merged once per problem: the shifts
+        in increasing order and their matrices as one read-only (S, N, N) stack."""
+        return self._merged
+
+    @functools.cached_property
+    def _merged(self):
         merged: dict[float, np.ndarray] = {}
         for r, A in zip(self.shifts, self.matrices):
             merged[r] = merged.get(r, 0.0) + A
@@ -138,7 +142,10 @@ class WaveProblem:
             for r, A in zip(self.pert_shifts, self.pert_matrices):
                 merged[r] = merged.get(r, 0.0) + self.eps * A
         shifts = tuple(sorted(merged))
-        return shifts, tuple(merged[r] for r in shifts)
+        mats = np.array([merged[r] for r in shifts], dtype=float).reshape(
+            len(shifts), self.dimension, self.dimension)
+        _read_only(mats)
+        return shifts, mats
 
     def with_eps(self, eps: float) -> "WaveProblem":
         return replace(self, eps=eps)
@@ -160,6 +167,7 @@ class WaveProblem:
 
     def operator(self, c: float) -> MFDEOperator:
         shifts, mats = self.effective_coupling()
+        mats = tuple(mats)
         if 0.0 not in shifts:
             shifts = shifts + (0.0,)
             mats = mats + (np.zeros((self.dimension,) * 2),)
@@ -258,9 +266,10 @@ class Discretization:
 
     D is the n x n first-derivative matrix, weights the trapezoid weights and
     coupling the problem's effective coupling.  The linearization
-    c (D (x) I) - C + diag(F'(phi)) is assembled from a fixed sparsity
-    pattern: `slots` maps the concatenated entries of c (D (x) I), -C and the
-    diagonal to their CSR positions.
+    L = c (D (x) I) - C + diag(F'(phi)) and the bordered system [[L, column],
+    [row, 0]] of Newton and the fixed-point scheme fill one fixed CSC pattern:
+    `slots` maps the concatenated entries of c (D (x) I), -C, the diagonal,
+    the column and the row to their positions, and `in_L` marks L's.
     """
 
     D: sp.csr_matrix
@@ -270,48 +279,66 @@ class Discretization:
     slots: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
+    in_L: np.ndarray
+
+    def _fill(self, fprime: np.ndarray, c: float, *border) -> np.ndarray:
+        vals = np.concatenate([c * self.kron_vals, -self.coupling.C.data,
+                               fprime.ravel(), *(v.ravel() for v in border)])
+        return np.bincount(self.slots[:len(vals)], weights=vals,
+                           minlength=len(self.indices))
 
     def linearization(self, fprime: np.ndarray, c: float) -> sp.csr_matrix:
         """c (D (x) I) - C + diag(fprime), from F'(phi) of shape (n, N)."""
-        vals = np.concatenate([c * self.kron_vals, -self.coupling.C.data,
-                               fprime.ravel()])
-        data = np.bincount(self.slots, weights=vals, minlength=len(self.indices))
-        size = len(self.indptr) - 1
-        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
-                             shape=(size, size))
+        size = len(self.indptr) - 2
+        # columns 0..j-1 each hold one border-row entry before column j
+        indptr = self.indptr[:-1] - np.arange(size + 1)
+        return sp.csc_matrix((self._fill(fprime, c)[self.in_L], self.indices[self.in_L],
+                              indptr), shape=(size, size)).tocsr()
+
+    def bordered(self, fprime: np.ndarray, c: float, column: np.ndarray,
+                 row: np.ndarray) -> sp.csc_matrix:
+        """[[L, column], [row, 0]], L = linearization(fprime, c), with border
+        vectors of shape (n, N).  As in a block assembly of L and the dense
+        border, the exact zeros of the border are left out and the stored
+        zeros of L kept: the pattern sets SuperLU's column ordering."""
+        data = self._fill(fprime, c, column, row)
+        keep = self.in_L | (data != 0.0)
+        indptr = np.append(0, np.cumsum(keep))[self.indptr]
+        return sp.csc_matrix((data[keep], self.indices[keep], indptr),
+                             shape=(len(indptr) - 1,) * 2)
 
 
 @functools.lru_cache(maxsize=16)
-def _discretization(grid: Grid, N: int, steps: tuple[int, ...],
+def _discretization(grid: Grid, N: int, shifts: tuple[float, ...],
                     mats: bytes) -> Discretization:
     n, size = grid.n, grid.n * N
     D = _deriv_matrix(n, grid.h)
-    coupling = _coupling(n, N, steps, mats)
+    coupling = _coupling(n, N, _grid_steps(shifts, grid.h), mats)
     Dc = D.tocoo()
     comp = np.arange(N)
     Cc = coupling.C.tocoo()
     diag = np.arange(size)
-    rows = np.concatenate([(Dc.row[:, None] * N + comp).ravel(), Cc.row, diag])
-    cols = np.concatenate([(Dc.col[:, None] * N + comp).ravel(), Cc.col, diag])
-    keys, slots = np.unique(rows.astype(np.int64) * size + cols, return_inverse=True)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // size, minlength=size))])
+    edge = np.full(size, size)      # the border column and row
+    rows = np.concatenate([(Dc.row[:, None] * N + comp).ravel(), Cc.row, diag, diag, edge])
+    cols = np.concatenate([(Dc.col[:, None] * N + comp).ravel(), Cc.col, diag, edge, diag])
+    keys, slots = np.unique(cols.astype(np.int64) * (size + 1) + rows, return_inverse=True)
+    per_column = np.bincount(keys // (size + 1), minlength=size + 1)
+    indptr = np.append(0, np.cumsum(per_column)).astype(np.int32)
+    indices = (keys % (size + 1)).astype(np.int32)
+    in_L = np.zeros(len(keys), dtype=bool)
+    in_L[slots[:-2 * size]] = True
     kron_vals = np.repeat(Dc.data, N)
     weights = trapezoid_weights(grid)
-    _read_only(D.data, weights, kron_vals, slots)
-    return Discretization(D=D, weights=weights,
-                          coupling=coupling, kron_vals=kron_vals, slots=slots,
-                          indices=(keys % size).astype(np.int32),
-                          indptr=indptr.astype(np.int32))
+    _read_only(D.data, weights, kron_vals, slots, indices, indptr, in_L)
+    return Discretization(D=D, weights=weights, coupling=coupling, kron_vals=kron_vals,
+                          slots=slots, indices=indices, indptr=indptr, in_L=in_L)
 
 
 def discretize(problem: WaveProblem, grid: Grid) -> Discretization:
     """The cached discretization of the problem's effective coupling on grid;
     raises IncommensurableShiftError when a shift is off the grid."""
     shifts, mats = problem.effective_coupling()
-    N = problem.dimension
-    steps = _grid_steps(shifts, grid.h)
-    mats = np.asarray(mats, dtype=float).reshape(len(steps), N, N)
-    return _discretization(grid, N, steps, mats.tobytes())
+    return _discretization(grid, problem.dimension, shifts, mats.tobytes())
 
 
 def initial_guess(grid: Grid, width: float = math.sqrt(2.0), components: int = 1) -> np.ndarray:
@@ -334,13 +361,12 @@ def linearization_matrix(problem: WaveProblem, grid: Grid, profile: np.ndarray,
 
 
 def assemble_jacobian(problem: WaveProblem, grid: Grid, profile: np.ndarray,
-                      c: float, phase_ref_deriv: np.ndarray) -> sp.csr_matrix:
-    """Bordered Jacobian: linearization, speed column, phase-condition row."""
+                      c: float, phase_ref_deriv: np.ndarray) -> sp.csc_matrix:
+    """Bordered Jacobian [[L, D phi], [w D phi_ref, 0]] (linearization, speed
+    column, phase-condition row), filled into the cached bordered pattern."""
     disc = discretize(problem, grid)
-    J = disc.linearization(problem.Fprime(profile), c)
-    dc = (disc.D @ profile).reshape(-1, 1)
-    phase_row = (disc.weights[:, None] * phase_ref_deriv).reshape(1, -1)
-    return sp.bmat([[J, dc], [phase_row, None]], format="csc")
+    return disc.bordered(problem.Fprime(profile), c, disc.D @ profile,
+                         disc.weights[:, None] * phase_ref_deriv)
 
 
 @dataclass(frozen=True)

@@ -122,20 +122,21 @@ def validate(config: dict, command: str):
             else:
                 normalized[key][field] = value
 
-    m, g, s = normalized["model"], normalized["grid"], normalized["solver"]
+    m = normalized["model"]
     if m["kind"] not in MODEL_KINDS:
         errors.append(f"model.kind must be one of {MODEL_KINDS}")
     if m["kind"] != "infinite_range" and not 0.0 < m["a"] < 1.0:
         errors.append(f"model.a = {m['a']} outside (0, 1)")
-    for path, value, cond in (
-            ("grid.h", g["h"], g["h"] > 0), ("grid.L", g["L"], g["L"] > 0),
-            ("solver.tol", s["tol"], s["tol"] > 0),
-            ("sim.dt", normalized["sim"]["dt"], normalized["sim"]["dt"] > 0),
-            ("sim.T", normalized["sim"]["T"], normalized["sim"]["T"] > 0),
-            ("continuation.step0", normalized["continuation"]["step0"],
-             normalized["continuation"]["step0"] > 0)):
-        if not cond:
-            errors.append(f"{path} = {value} must be positive")
+    for path in ("grid.h", "grid.L", "solver.tol", "sim.dt", "sim.T", "continuation.step0",
+                 "continuation.hyper_tol", "fixedpoint.tol", "hyperbolic.tol"):
+        block, field = path.split(".")
+        if not normalized[block][field] > 0:
+            errors.append(f"{path} = {normalized[block][field]} must be positive")
+    sim = normalized["sim"]
+    errors += [f"sim.{k} = {sim[k]!r} must be a positive integer"
+               for k in ("M", "stride") if type(sim[k]) is not int or sim[k] < 1]
+    if sim["dt"] > 0 and sim["T"] > 0 and round(sim["T"] / sim["dt"]) < 1:
+        errors.append(f"sim.T = {sim['T']} makes no RK4 step of sim.dt = {sim['dt']}")
     for a, b in (("minus_index", "plus_index"), ("minus", "plus")):
         if (m[a] is None) != (m[b] is None):
             errors.append(f"model.{a} and model.{b} must be given together")
@@ -433,8 +434,8 @@ def cmd_fixed_point(cfg, out, h):
 def cmd_simulate(cfg, out, h):
     model = build_lattice(cfg["model"])
     sc = cfg["sim"]
-    init = front_state(int(sc["M"]), sc["front_at"], width=sc["width"])
-    traj = integrate(model, init, sc["dt"], sc["T"], stride=int(sc["stride"]))
+    init = front_state(sc["M"], sc["front_at"], width=sc["width"])
+    traj = integrate(model, init, sc["dt"], sc["T"], stride=sc["stride"])
     speed = measure_speed(traj, level=sc["level"])
     xi, prof, scatter, warn = extract_profile(traj, speed.c_measured)
     mono = check_monotonicity(prof)

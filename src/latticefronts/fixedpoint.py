@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bvp import (Coupling, Discretization, Grid, KernelData, WaveProblem,
@@ -186,12 +185,9 @@ def speed_update(ctx: FixedPointContext, psi: np.ndarray) -> float:
 
 
 def _bordered_solver(ctx: FixedPointContext):
-    L0 = ctx.disc.linearization(ctx.problem.Fprime(ctx.phi0), ctx.c0)
     pp = ctx.kernel.psi_plus
-    col = pp.reshape(-1, 1)
-    row = (ctx.disc.weights[:, None] * pp).reshape(1, -1)
-    M = sp.bmat([[L0, col], [row, None]], format="csc")
-    return spla.splu(M)
+    return spla.splu(ctx.disc.bordered(ctx.problem.Fprime(ctx.phi0), ctx.c0,
+                                       pp, ctx.disc.weights[:, None] * pp))
 
 
 def apply_T(ctx: FixedPointContext, psi: np.ndarray, c: float = None,

@@ -19,6 +19,7 @@ from latticefronts.bvp import (
     assemble_jacobian,
     assemble_residual,
     coupling_operator,
+    discretize,
     epsilon_scaled_problem,
     initial_guess,
     kernel_vectors,
@@ -313,6 +314,81 @@ def test_linearization_matches_per_shift_kron_reference(N, h, data, seed):
                   for r, A in zip(shifts, mats))
     got = coupling_operator(shifts, mats, n, N, h).apply(profile)
     assert np.max(np.abs(got - clamped)) <= 1e-13
+
+
+def bmat_bordered(L, column, row):
+    """Reference bordered system [[L, column], [row, 0]]: sp.bmat of the
+    sparse L and the dense border, which leaves out the border's exact zeros
+    and keeps the stored zeros of L."""
+    return sp.bmat([[L, column.reshape(-1, 1)], [row.reshape(1, -1), None]],
+                   format="csc")
+
+
+def assert_same_csc(got, ref):
+    assert got.format == "csc" and got.shape == ref.shape
+    np.testing.assert_array_equal(got.indptr, ref.indptr)
+    np.testing.assert_array_equal(got.indices, ref.indices)
+    assert got.data.tobytes() == ref.data.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(1, 4), h=st.sampled_from([1.0, 0.5]), c_zero=st.booleans(),
+       zero_frac=st.sampled_from([0.0, 0.2, 0.9, 1.0]),
+       data=st.data(), seed=st.integers(0, 2**31 - 1))
+def test_bordered_system_matches_bmat_reference(N, h, c_zero, zero_frac, data, seed):
+    """Same indptr, indices and data bits as the sp.bmat reference, with
+    exact zeros (of either sign) injected into the border vectors and
+    stored zeros in L at c = 0."""
+    grid = make_grid(30.0 * h, h, (0.0,))
+    n = grid.n
+    steps = data.draw(st.lists(st.integers(-n, n), min_size=1, max_size=6,
+                               unique=True))
+    rng = np.random.default_rng(seed)
+    shifts = tuple(h * m for m in sorted(steps))
+    mats = tuple(rng.uniform(-1.0, 1.0, (N, N)) * (rng.random((N, N)) < 0.7)
+                 for _ in shifts)
+    cubics = tuple(CubicNonlinearity(rng.uniform(0.5, 1.0), rng.uniform(0.1, 0.9))
+                   for _ in range(N))
+    problem = WaveProblem(shifts=shifts, matrices=mats, cubics=cubics)
+    fprime = problem.Fprime(rng.uniform(-0.5, 1.5, (n, N)))
+    c = 0.0 if c_zero else rng.uniform(-1.0, 1.0)
+    column, row = rng.standard_normal((2, n, N))
+    for v in (column, row):
+        zero = rng.random((n, N)) < zero_frac
+        v[zero] = np.copysign(0.0, rng.standard_normal(zero.sum()))
+
+    disc = discretize(problem, grid)
+    L = disc.linearization(fprime, c)
+    assert_same_csc(disc.bordered(fprime, c, column, row), bmat_bordered(L, column, row))
+    # L stores every position of D (x) I, C and the diagonal, zero or not
+    pattern = (abs(sp.kron(disc.D, sp.eye(N))) + abs(disc.coupling.C)
+               + sp.eye(n * N)).tocsr()
+    pattern.eliminate_zeros()       # the zeros of kron's dense identity blocks
+    pattern.sort_indices()
+    np.testing.assert_array_equal(L.indptr, pattern.indptr)
+    np.testing.assert_array_equal(L.indices, pattern.indices)
+
+
+def test_jacobian_of_pinned_two_site_wave_matches_bmat_reference(two_site_front):
+    """The pinned wave's derivative has exact zeros in its flat tails."""
+    problem, grid, sol = two_site_front
+    deriv = _deriv_matrix(grid.n, grid.h) @ sol.profile
+    assert np.count_nonzero(deriv == 0.0) > 0
+    J = assemble_jacobian(problem, grid, sol.profile, sol.c, deriv)
+    L = linearization_matrix(problem, grid, sol.profile, sol.c)
+    assert_same_csc(J, bmat_bordered(L, deriv, trapezoid_weights(grid)[:, None] * deriv))
+
+
+def test_coupling_merged_once_and_discretization_shared(two_site_front):
+    base, grid, _ = two_site_front
+    problem = base.with_eps(0.3)          # base and perturbation merged
+    shifts, mats = problem.effective_coupling()
+    again = problem.effective_coupling()
+    assert again[0] is shifts and again[1] is mats
+    assert not mats.flags.writeable
+    with pytest.raises(ValueError):
+        mats[0, 0, 0] = 1.0
+    assert discretize(problem, grid) is discretize(problem, grid)
 
 
 # --------------------------------------------------------------------------

@@ -331,6 +331,52 @@ def test_main_with_config_file_and_overrides(tmp_path, capsys):
     assert payload["c"] < 0.2
 
 
+# det Delta(0) of this operator is exactly 0 (min_modulus 0.000e+00)
+SINGULAR_OPERATOR = {"d_e": 0.05, "d_o": 0.05, "gamma1": 0.0, "gamma2": 0.0,
+                     "c": 0.3}
+
+
+def test_singular_operator_is_not_hyperbolic(tmp_path, capsys):
+    cfg = {"hyperbolic": {"operator": SINGULAR_OPERATOR}}
+    assert run("check-hyperbolic", cfg, tmp_path) == 3
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert min(e["min_modulus"] for e in report["entries"]) == 0.0
+
+
+@pytest.mark.parametrize("command, cfg, violation", [
+    ("check-hyperbolic", {"hyperbolic": {"operator": SINGULAR_OPERATOR, "tol": -1}},
+     "hyperbolic.tol = -1 must be positive"),
+    ("continue", dict(NAGUMO_CONTINUE, continuation={"hyper_tol": -1}),
+     "continuation.hyper_tol = -1 must be positive"),
+    ("fixed-point", dict(TWO_SITE_FIXED_POINT, fixedpoint={"tol": 0.0}),
+     "fixedpoint.tol = 0.0 must be positive")],
+    ids=["hyperbolic.tol", "continuation.hyper_tol", "fixedpoint.tol"])
+def test_nonpositive_tolerance_exits_4(tmp_path, capsys, command, cfg, violation):
+    """A tolerance of 0 or below would certify a singular operator or stop
+    no iteration; validate names the field before any computation."""
+    assert run(command, cfg, tmp_path) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "invalid_config"
+    assert err["violations"] == [violation]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("sim, field", [
+    ({"M": 400.5}, "sim.M"), ({"stride": 2.5}, "sim.stride"),
+    ({"M": True}, "sim.M"), ({"T": 0.001}, "sim.T")],
+    ids=["M-fraction", "stride-fraction", "M-bool", "T-below-half-step"])
+def test_simulate_config_errors_exit_4(tmp_path, capsys, sim, field):
+    """M and stride are whole numbers, and T spans at least one RK4 step
+    (round(T / dt) >= 1); otherwise validate names the field."""
+    cfg = {"model": {"kind": "nagumo"}, "sim": sim}
+    assert run("simulate", cfg, tmp_path) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "ConfigError"
+    assert len(err["violations"]) == 1
+    assert err["violations"][0].startswith(f"{field} = ")
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_main_bad_override_exits_4(tmp_path, capsys):
     assert main(["solve-wave", "not-a-path"]) == 4
 

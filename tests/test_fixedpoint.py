@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+
+from latticefronts import fixedpoint
 
 from latticefronts.bvp import (
     _deriv_matrix,
@@ -17,6 +20,7 @@ from latticefronts.bvp import (
 )
 from latticefronts.fixedpoint import (
     KernelObstructionError,
+    _bordered_solver,
     apply_T,
     iterate,
     make_context,
@@ -168,3 +172,25 @@ def test_state_serialization_roundtrip(perturbed_nagumo):
     assert js["iterations"] == len(state.history)
     assert js["contraction_ratio"] == state.contraction_ratio
     assert len(js["history"]) == len(state.history)
+
+
+def test_bordered_solver_matrix_matches_bmat_reference(traveling_two_site_front,
+                                                       monkeypatch):
+    """The matrix factored for the Picard solves, on criterion 03's pair at
+    eps = 0.05: the same indptr, indices and data bits as sp.bmat of the
+    reference linearization and the dense kernel-surrogate border."""
+    problem, grid, sol = traveling_two_site_front
+    ctx = make_context(problem.with_eps(0.05), grid, sol)
+    factored = []
+    monkeypatch.setattr(fixedpoint.spla, "splu", factored.append)
+    _bordered_solver(ctx)
+    L0 = linearization_matrix(problem, grid, ctx.phi0, ctx.c0)
+    pp = ctx.kernel.psi_plus
+    ref = sp.bmat([[L0, pp.reshape(-1, 1)],
+                   [(trapezoid_weights(grid)[:, None] * pp).reshape(1, -1), None]],
+                  format="csc")
+    (M,) = factored
+    assert M.format == "csc"
+    np.testing.assert_array_equal(M.indptr, ref.indptr)
+    np.testing.assert_array_equal(M.indices, ref.indices)
+    assert M.data.tobytes() == ref.data.tobytes()
