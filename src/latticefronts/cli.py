@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,50 +46,32 @@ EXIT_HYPERBOLICITY = 3
 EXIT_CONFIG = 4
 EXIT_KERNEL = 5
 
-COMMANDS = ("equilibria", "transform2", "transform4", "check-hyperbolic",
-            "solve-wave", "continue", "fixed-point", "simulate", "tails",
-            "sweep")
 
-DEFAULTS = {
-    "model": {"kind": "nagumo", "d1": 1.0, "d2": 0.0, "a": 0.3, "eps": 0.0,
-              "q": 0.5, "scale": 1.0, "k0": 1, "k_num": 40, "period": 2,
-              "minus_index": None, "plus_index": None,
-              "minus": None, "plus": None},
-    "grid": {"L": 40.0, "h": 1.0},
-    "solver": {"tol": 1e-10, "max_iter": 50, "c0": 0.1,
-               "guess_width": math.sqrt(2.0)},
-    "continuation": {"eps_to": 1.0, "step0": 0.05, "step_min": 1e-5,
-                     "grow": 1.5, "parameter": None, "target": None,
-                     "stop_on_pinning": False, "hyper_tol": 1e-8},
-    "fixedpoint": {"tol": 1e-10, "max_iter": 200},
-    "sim": {"M": 400, "dt": 0.02, "T": 200.0, "stride": 10, "front_at": 0.25,
-            "level": 0.5, "width": 2.0},
-    "hyperbolic": {"c": None, "tol": 1e-8, "operator": None},
-    "tails": {"c": None},
-    "output": {"dir": "out"},
-    "sweep": {"parameter": None, "values": [], "command": None},
-}
+class Kind(NamedTuple):
+    """The values a config field accepts: ``test`` tells whether it accepts
+    one, and ``what`` names them in a violation."""
+    what: str
+    test: Callable[[object], bool]
 
-REQUIRED_BLOCKS = {
-    "equilibria": ["model"],
-    "transform2": ["model"],
-    "transform4": ["model"],
-    "check-hyperbolic": ["hyperbolic"],
-    "solve-wave": ["model", "grid"],
-    "continue": ["model", "grid", "continuation"],
-    "fixed-point": ["model", "grid"],
-    "simulate": ["model", "sim"],
-    "tails": ["model", "tails"],
-    "sweep": ["sweep"],
-}
+    def or_null(self) -> Kind:
+        return Kind(f"{self.what} or null", lambda v: v is None or self.test(v))
 
-MODEL_KINDS = ("nagumo", "eps_scaled", "two_site", "four_site", "infinite_range")
-CONTINUED = ("d1", "d2", "a", "eps")   # parameters `continue` can move
 
-# keys of an explicit two-site operator for check-hyperbolic; the speed comes
-# from exactly one of its "c" and hyperbolic.c
-OPERATOR_REQUIRED = ("d_e", "d_o", "gamma1", "gamma2")
-OPERATOR_OPTIONAL = ("d2", "eps", "gamma1_plus", "gamma2_plus", "c")
+def _one_of(*options) -> Kind:
+    return Kind(f"one of {options}",
+                lambda v: any(type(v) is type(o) and v == o for o in options))
+
+
+NUMBER = Kind("a finite number", lambda v: isinstance(v, (int, float))
+               and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
+POSITIVE = Kind("positive", lambda v: NUMBER.test(v) and v > 0)
+COUNT = Kind("a positive integer", lambda v: type(v) is int and v >= 1)
+INDEX = Kind("a non-negative integer", lambda v: type(v) is int and v >= 0)
+BOOL = Kind("a bool", lambda v: type(v) is bool)
+STRING = Kind("a string", lambda v: type(v) is str)
+NUMBERS = Kind("a list of finite numbers",
+               lambda v: type(v) is list and all(map(NUMBER.test, v)))
+OBJECT = Kind("an object", lambda v: type(v) is dict)
 
 
 class ConfigError(ValueError):
@@ -97,89 +80,66 @@ class ConfigError(ValueError):
         self.errors = list(errors)
 
 
-def validate(config: dict, command: str):
-    """Normalized config with defaults filled, or the full list of violations."""
-    errors = []
-    if command not in COMMANDS:
-        errors.append(f"unknown command {command!r}")
-        raise ConfigError(errors)
-    for key in config:
-        if key not in DEFAULTS:
-            errors.append(f"unknown config block {key!r}")
-    for block in REQUIRED_BLOCKS[command]:
-        if block not in config:
-            errors.append(f"missing config block {block!r} required by {command}")
-    normalized = copy.deepcopy(DEFAULTS)
-    for key, block in config.items():
-        if key not in DEFAULTS:
-            continue
-        if not isinstance(block, dict):
-            errors.append(f"config block {key!r} must be an object")
-            continue
-        for field, value in block.items():
-            if field not in DEFAULTS[key]:
-                errors.append(f"unknown field {key}.{field}")
-            else:
-                normalized[key][field] = value
+def _checked(path: str, schema: dict, given: dict, errors: list) -> dict:
+    """The schema's defaults, each replaced by the value ``given`` for it when
+    that value is valid; unknown, missing and invalid ones go to ``errors``."""
+    errors += [f"unknown field {path}.{k}" for k in given if k not in schema]
+    filled = {}
+    for field, (default, kind) in schema.items():
+        value = given.get(field, default)
+        if not kind.test(value):
+            errors.append(f"{path}.{field} is required" if value is ... else
+                          f"{path}.{field} = {value!r} must be {kind.what}")
+            value = default
+        filled[field] = value
+    return filled
 
-    m = normalized["model"]
-    if m["kind"] not in MODEL_KINDS:
-        errors.append(f"model.kind must be one of {MODEL_KINDS}")
+
+def validate(config: dict, command: str):
+    """Normalized config with defaults filled, or the full list of violations.
+
+    A valid value is kept as given (an int in a float field stays an int, so
+    the config hash does not move); an invalid one is listed and leaves its
+    default in place for the cross-field rules."""
+    if not isinstance(config, dict):
+        raise ConfigError([f"config = {config!r} must be an object"])
+    if command not in COMMANDS:
+        raise ConfigError([f"unknown command {command!r}"])
+    errors = [f"missing config block {block!r} required by {command}"
+              for block in COMMANDS[command][1] if block not in config]
+    blocks = _checked("config", {key: ({}, OBJECT) for key in SCHEMA}, config, errors)
+    cfg = copy.deepcopy({key: _checked(key, SCHEMA[key], blocks[key], errors)
+                         for key in SCHEMA})
+
+    m, sim, hyp, cont = (cfg[k] for k in ("model", "sim", "hyperbolic", "continuation"))
     if m["kind"] != "infinite_range" and not 0.0 < m["a"] < 1.0:
         errors.append(f"model.a = {m['a']} outside (0, 1)")
-    for path in ("grid.h", "grid.L", "solver.tol", "sim.dt", "sim.T", "continuation.step0",
-                 "continuation.hyper_tol", "fixedpoint.tol", "hyperbolic.tol"):
-        block, field = path.split(".")
-        if not normalized[block][field] > 0:
-            errors.append(f"{path} = {normalized[block][field]} must be positive")
-    sim = normalized["sim"]
-    errors += [f"sim.{k} = {sim[k]!r} must be a positive integer"
-               for k in ("M", "stride") if type(sim[k]) is not int or sim[k] < 1]
-    if sim["dt"] > 0 and sim["T"] > 0 and round(sim["T"] / sim["dt"]) < 1:
-        errors.append(f"sim.T = {sim['T']} makes no RK4 step of sim.dt = {sim['dt']}")
     for a, b in (("minus_index", "plus_index"), ("minus", "plus")):
         if (m[a] is None) != (m[b] is None):
             errors.append(f"model.{a} and model.{b} must be given together")
-    errors += [f"model.{k} = {m[k]!r} must be a non-negative integer"
-               for k in ("minus_index", "plus_index")
-               if m[k] is not None and (type(m[k]) is not int or m[k] < 0)]
-    if command == "check-hyperbolic":
-        errors += _operator_errors(normalized["hyperbolic"])
-    cont = normalized["continuation"]
-    if command == "continue" and (cont["parameter"] or "eps") not in CONTINUED:
-        errors.append(f"continuation.parameter {cont['parameter']!r} unsupported")
+    if sim["T"] / sim["dt"] <= 0.5:         # round(T / dt) < 1, without overflow
+        errors.append(f"sim.T = {sim['T']} makes no RK4 step of sim.dt = {sim['dt']}")
+    op = None if hyp["operator"] is None else _checked(
+        "hyperbolic.operator", OPERATOR, hyp["operator"], errors)
+    speeds = [hyp["c"]] if op is None else [hyp["c"], op["c"]]
+    if command == "check-hyperbolic" and sum(c is not None for c in speeds) != 1:
+        errors.append("give the speed as exactly one of hyperbolic.operator.c and hyperbolic.c"
+                      if op else "hyperbolic.c is required when no explicit operator is given")
     if command == "continue" and (
             cont["target"] if cont["parameter"] else cont["eps_to"]) is None:
         errors.append("continuation.target (with a parameter) or "
                       "continuation.eps_to is required")
-    if command == "tails" and normalized["tails"]["c"] in (None, 0.0):
+    if command == "tails" and not cfg["tails"]["c"]:
         errors.append("tails.c must be a nonzero speed")
     if command == "sweep":
-        sw = normalized["sweep"]
-        if sw["command"] not in COMMANDS or sw["command"] == "sweep":
-            errors.append("sweep.command must name a non-sweep command")
-        if not sw["parameter"] or not sw["values"]:
-            errors.append("sweep.parameter and sweep.values are required")
+        sw = cfg["sweep"]
+        block, _, field = (sw["parameter"] or "").partition(".")
+        if field not in SCHEMA.get(block, {}):
+            errors.append(f"sweep.parameter = {sw['parameter']!r} must name a block.field")
+        errors += [f"sweep.{k} is required" for k in ("values", "command") if not sw[k]]
     if errors:
         raise ConfigError(errors)
-    return normalized
-
-
-def _operator_errors(hyp: dict) -> list[str]:
-    op = hyp["operator"]
-    if op is None:
-        return [] if hyp["c"] is not None else [
-            "hyperbolic.c is required when no explicit operator is given"]
-    if not isinstance(op, dict):
-        return ["hyperbolic.operator must be an object"]
-    errors = [f"hyperbolic.operator.{k} is required"
-              for k in OPERATOR_REQUIRED if k not in op]
-    errors += [f"unknown field hyperbolic.operator.{k}"
-               for k in op if k not in OPERATOR_REQUIRED + OPERATOR_OPTIONAL]
-    if (op.get("c") is None) == (hyp["c"] is None):
-        errors.append("give the speed as exactly one of hyperbolic.operator.c "
-                      "and hyperbolic.c")
-    return errors
+    return cfg
 
 
 def config_hash(normalized: dict) -> str:
@@ -304,12 +264,12 @@ def _solve(cfg, problem: WaveProblem):
 
 def cmd_equilibria(cfg, out, h):
     m = cfg["model"]
-    if int(m["period"]) == 4:
+    if m["period"] == 4:
         states = find_four_periodic_equilibria(m["d1"], m["d2"], m["a"])
     else:
         states = find_two_periodic_equilibria(m["d1"], m["a"])
     write_json(out / "equilibria.json", {
-        "period": states[0].period if states else int(m["period"]),
+        "period": m["period"],
         "states": [{"values": list(st.values), "residual": st.residual}
                    for st in states]}, h)
     print(f"found {len(states)} periodic equilibria")
@@ -347,13 +307,12 @@ def cmd_transform4(cfg, out, h):
 def cmd_check_hyperbolic(cfg, out, h):
     hc = cfg["hyperbolic"]
     if hc["operator"] is not None:
-        o = hc["operator"]
-        op = two_site_operator(o["d_e"], o["d_o"], o.get("d2", 0.0),
-                               o.get("eps", 0.0),
+        o = _checked("hyperbolic.operator", OPERATOR, hc["operator"], [])
+        op = two_site_operator(o["d_e"], o["d_o"], o["d2"], o["eps"],
                                (o["gamma1"], o["gamma2"]),
-                               (o.get("gamma1_plus", o["gamma1"]),
-                                o.get("gamma2_plus", o["gamma2"])),
-                               hc["c"] if o.get("c") is None else o["c"])
+                               (o["gamma1"] if o["gamma1_plus"] is None else o["gamma1_plus"],
+                                o["gamma2"] if o["gamma2_plus"] is None else o["gamma2_plus"]),
+                               hc["c"] if o["c"] is None else o["c"])
     else:
         op = build_problem(cfg["model"]).operator(hc["c"])
     report = asymptotic_hyperbolicity(op, tol=hc["tol"])
@@ -479,7 +438,9 @@ def _set_dotted(cfg: dict, path: str, value):
     keys = path.split(".")
     node = cfg
     for k in keys[:-1]:
-        node = node.setdefault(k, {})
+        node = node.setdefault(k, {}) if isinstance(node, dict) else None
+    if not isinstance(node, dict):
+        raise ConfigError([f"override {path!r} crosses a value that is not an object"])
     node[keys[-1]] = value
 
 
@@ -500,18 +461,59 @@ def cmd_sweep(cfg, out, h):
     return worst
 
 
-DISPATCH = {
-    "equilibria": cmd_equilibria,
-    "transform2": cmd_transform2,
-    "transform4": cmd_transform4,
-    "check-hyperbolic": cmd_check_hyperbolic,
-    "solve-wave": cmd_solve_wave,
-    "continue": cmd_continue,
-    "fixed-point": cmd_fixed_point,
-    "simulate": cmd_simulate,
-    "tails": cmd_tails,
-    "sweep": cmd_sweep,
+# command -> (function, config blocks it requires)
+COMMANDS = {
+    "equilibria": (cmd_equilibria, ("model",)),
+    "transform2": (cmd_transform2, ("model",)),
+    "transform4": (cmd_transform4, ("model",)),
+    "check-hyperbolic": (cmd_check_hyperbolic, ("hyperbolic",)),
+    "solve-wave": (cmd_solve_wave, ("model", "grid")),
+    "continue": (cmd_continue, ("model", "grid", "continuation")),
+    "fixed-point": (cmd_fixed_point, ("model", "grid")),
+    "simulate": (cmd_simulate, ("model", "sim")),
+    "tails": (cmd_tails, ("model", "tails")),
+    "sweep": (cmd_sweep, ("sweep",)),
 }
+
+# block -> field -> (default, kind)
+SCHEMA = {
+    "model": {"kind": ("nagumo", _one_of("nagumo", "eps_scaled", "two_site",
+                                         "four_site", "infinite_range")),
+              "d1": (1.0, NUMBER), "d2": (0.0, NUMBER), "a": (0.3, NUMBER),
+              "eps": (0.0, NUMBER), "q": (0.5, NUMBER), "scale": (1.0, NUMBER),
+              "k0": (1, COUNT), "k_num": (40, COUNT), "period": (2, _one_of(2, 4)),
+              "minus_index": (None, INDEX.or_null()),
+              "plus_index": (None, INDEX.or_null()),
+              "minus": (None, NUMBERS.or_null()), "plus": (None, NUMBERS.or_null())},
+    "grid": {"L": (40.0, POSITIVE), "h": (1.0, POSITIVE)},
+    "solver": {"tol": (1e-10, POSITIVE), "max_iter": (50, COUNT), "c0": (0.1, NUMBER),
+               "guess_width": (math.sqrt(2.0), POSITIVE)},
+    "continuation": {"eps_to": (1.0, NUMBER.or_null()), "step0": (0.05, POSITIVE),
+                     "step_min": (1e-5, POSITIVE), "grow": (1.5, POSITIVE),
+                     "parameter": (None, _one_of("d1", "d2", "a", "eps").or_null()),
+                     "target": (None, NUMBER.or_null()),
+                     "stop_on_pinning": (False, BOOL), "hyper_tol": (1e-8, POSITIVE)},
+    "fixedpoint": {"tol": (1e-10, POSITIVE), "max_iter": (200, COUNT)},
+    "sim": {"M": (400, COUNT), "dt": (0.02, POSITIVE), "T": (200.0, POSITIVE),
+            "stride": (10, COUNT), "front_at": (0.25, NUMBER), "level": (0.5, NUMBER),
+            "width": (2.0, POSITIVE)},
+    "hyperbolic": {"c": (None, NUMBER.or_null()), "tol": (1e-8, POSITIVE),
+                   "operator": (None, OBJECT.or_null())},
+    "tails": {"c": (None, NUMBER.or_null())},
+    "output": {"dir": ("out", STRING)},
+    "sweep": {"parameter": (None, STRING.or_null()), "values": ([], NUMBERS),
+              "command": (None, _one_of(*[c for c in COMMANDS if c != "sweep"]).or_null())},
+}
+
+# key -> (default, kind) of an explicit two-site operator for check-hyperbolic:
+# ... marks a required key, and a gamma*_plus of None repeats its gamma
+OPERATOR = {"d_e": (..., NUMBER), "d_o": (..., NUMBER), "gamma1": (..., NUMBER),
+            "gamma2": (..., NUMBER), "d2": (0.0, NUMBER), "eps": (0.0, NUMBER),
+            "gamma1_plus": (None, NUMBER.or_null()),
+            "gamma2_plus": (None, NUMBER.or_null()), "c": (None, NUMBER.or_null())}
+
+DEFAULTS = {block: {field: default for field, (default, _) in fields.items()}
+            for block, fields in SCHEMA.items()}
 
 CONVERGENCE_ERRORS = (NewtonDivergenceError, DomainTooSmallError,
                       SingularSystemError, ContractionFailureError,
@@ -539,7 +541,7 @@ def run(command: str, config: dict, outdir=None) -> int:
     out = Path(outdir) if outdir is not None else Path(cfg["output"]["dir"])
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return DISPATCH[command](cfg, out, h)
+        return COMMANDS[command][0](cfg, out, h)
     except KernelObstructionError as exc:
         _emit_error("kernel_obstruction", exc)
         return EXIT_KERNEL
@@ -572,24 +574,20 @@ def main(argv=None) -> int:
         epilog="Config precedence: command line overrides > config file > "
                "defaults. Overrides are dotted paths, e.g. grid.h=0.05. "
                f"Defaults: {json.dumps(DEFAULTS, default=str)}")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--output", help="output directory (overrides config)")
     parser.add_argument("overrides", nargs="*",
                         help="dotted-path overrides: block.field=value")
     args = parser.parse_intermixed_args(argv)
 
-    config = {}
-    if args.config:
-        try:
-            config = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            _emit_error("invalid_config", ConfigError([f"cannot read config: {exc}"]))
-            return EXIT_CONFIG
     try:
+        try:
+            config = json.loads(Path(args.config).read_text()) if args.config else {}
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError([f"cannot read config: {exc}"]) from exc
         for text in args.overrides:
-            path, value = _parse_override(text)
-            _set_dotted(config, path, value)
+            _set_dotted(config, *_parse_override(text))
     except ConfigError as exc:
         _emit_error("invalid_config", exc)
         return EXIT_CONFIG

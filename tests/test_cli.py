@@ -1,12 +1,22 @@
 """Command-line orchestration: validation, dispatch, artifacts, exit codes."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticefronts import __version__
 from latticefronts.cli import (
+    COMMANDS,
+    OPERATOR as OPERATOR_SCHEMA,
+    SCHEMA,
     ConfigError,
     config_hash,
     main,
@@ -203,7 +213,7 @@ def test_continue_in_model_parameter(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("continuation, violation", [
-    ({"parameter": "q", "target": 0.35}, "'q' unsupported"),
+    ({"parameter": "q", "target": 0.35}, "parameter = 'q' must be one of"),
     ({"parameter": "a"}, "continuation.target (with a parameter)"),
     ({"eps_to": None}, "continuation.eps_to is required")])
 def test_continue_config_errors_exit_4(tmp_path, capsys, continuation, violation):
@@ -418,3 +428,177 @@ def test_simulate_artifacts_are_byte_identical_across_runs(tmp_path, capsys):
     for name in ("trajectory.csv", "profile.csv", "speed.json"):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes())
+
+
+# --------------------------------------------------------------------------
+# the config contract: one schema, every violation exits 4
+
+@pytest.mark.parametrize("command, cfg, path", [
+    ("equilibria", {"model": {"kind": "nagumo", "period": 3}}, "model.period"),
+    ("equilibria", {"model": {"kind": "nagumo", "period": 2.5}}, "model.period"),
+    ("equilibria", {"model": {"kind": "nagumo", "d1": math.nan}}, "model.d1"),
+    ("solve-wave", {"model": {"kind": "nagumo"}, "grid": {"h": True}}, "grid.h"),
+    ("check-hyperbolic", {"hyperbolic": {"operator": SINGULAR_OPERATOR, "tol": True}},
+     "hyperbolic.tol"),
+    ("continue", dict(NAGUMO_CONTINUE, continuation={"stop_on_pinning": "no"}),
+     "continuation.stop_on_pinning"),
+    ("tails", {"model": {"kind": "nagumo"}, "tails": {"c": math.nan}}, "tails.c"),
+    ("simulate", {"model": {"kind": "nagumo"}, "sim": {"front_at": math.nan}}, "sim.front_at")],
+    ids=["period-3", "period-2.5", "d1-nan", "h-true", "tol-true", "stop-on-pinning-no",
+         "tails-c-nan", "front-at-nan"])
+def test_ill_typed_value_exits_4_naming_its_field(tmp_path, capsys, command, cfg, path):
+    """Each of these would run as something else if it were accepted: period 3
+    as the period-2 search, h = true as h = 1, and so on.  The invalid value
+    leaves its default to the cross-field rules, so a missing tails.c is
+    reported as well."""
+    assert run(command, cfg, tmp_path) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "invalid_config"
+    assert err["violations"][0].startswith(f"{path} = ")
+    assert all(v.startswith(path) for v in err["violations"])
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("top, overrides", [
+    ([1, 2], []), ([1, 2], ["grid.h=1"]), ({}, ["grid=5", "grid.h=1"])],
+    ids=["list-config", "list-config-override", "override-through-number"])
+def test_main_rejects_a_config_that_is_not_an_object(tmp_path, capsys, top, overrides):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(top))
+    out = tmp_path / "out"
+    argv = ["solve-wave", "--config", str(cfg_file), "--output", str(out), *overrides]
+    assert main(argv) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "invalid_config"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep, violation", [
+    ({"parameter": "model.a.x", "values": [0.4]}, "sweep.parameter = 'model.a.x'"),
+    ({"parameter": "model.a", "values": "ab"}, "sweep.values = 'ab'"),
+    ({"parameter": "model.a", "values": []}, "sweep.values is required")],
+    ids=["parameter-not-a-field", "values-a-string", "values-empty"])
+def test_sweep_config_errors_exit_4(tmp_path, capsys, sweep, violation):
+    cfg = {"model": {"kind": "nagumo", "d1": -0.05, "a": 0.5},
+           "sweep": dict(sweep, command="equilibria")}
+    assert run("sweep", cfg, tmp_path) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert [v for v in err["violations"] if v.startswith(violation)]
+    assert not any(tmp_path.iterdir())
+
+
+# one valid config per command that the property below perturbs; each runs in
+# a few milliseconds
+CHEAP_BASES = {
+    "equilibria": {"model": {"kind": "nagumo", "d1": -0.05, "a": 0.5}},
+    "transform2": {"model": {"kind": "two_site", "d1": -0.05, "a": 0.5}},
+    "transform4": {"model": {"kind": "four_site", "d1": 0.0, "d2": 1.0, "a": 0.3}},
+    "check-hyperbolic": {"model": {"kind": "nagumo"}, "hyperbolic": {"c": 0.3}},
+    "tails": {"model": {"kind": "nagumo"}, "tails": {"c": 0.28}},
+}
+FIELD_PATHS = ([f"{block}.{field}" for block, fields in SCHEMA.items() for field in fields]
+               + [f"hyperbolic.operator.{key}" for key in OPERATOR_SCHEMA])
+BAD_VALUES = ["x", "", None, [1], {}, True, math.nan, math.inf, -math.inf, -1, 0]
+
+
+def _set_path(cfg: dict, path: str, value):
+    """Set a field of the config; an operator key gets a valid operator to go into."""
+    block, field, *key = path.split(".")
+    node = cfg.setdefault(block, {})
+    if key:
+        if not isinstance(node.get(field), dict):
+            node[field] = dict(OPERATOR)
+        node, field = node[field], key[0]
+    node[field] = value
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(sorted(CHEAP_BASES)),
+       changes=st.lists(st.tuples(st.sampled_from(FIELD_PATHS), st.sampled_from(BAD_VALUES)),
+                        min_size=1, max_size=2))
+def test_every_config_exits_with_a_contract_code(command, changes):
+    """Whatever one or two fields are set to, validate accepts the config or
+    raises ConfigError, and run returns 0/2/3/4/5 without raising. A nonzero
+    exit writes one JSON object to stderr, except a hyperbolicity verdict
+    (exit 3), which writes its report instead."""
+    cfg = json.loads(json.dumps(CHEAP_BASES[command]))
+    for path, value in changes:
+        _set_path(cfg, path, value)
+    try:
+        validate(json.loads(json.dumps(cfg)), command)
+    except ConfigError:
+        pass
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(command, cfg, d)
+        verdict = code == 3 and (Path(d) / "report.json").exists()
+    assert code in (0, 2, 3, 4, 5)
+    lines = err.getvalue().splitlines()
+    if code == 0 or verdict:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+
+
+XM, XP = 0.5 * (1.0 - math.sqrt(1.8)), 0.5 * (1.0 + math.sqrt(1.8))
+
+
+@pytest.mark.parametrize("command, cfg, digest", [
+    ("equilibria", {"model": {"kind": "nagumo", "d1": -0.05, "a": 0.5, "period": 4}},
+     "79cb1e4bf8ca77b7"),
+    ("transform2", {"model": {"kind": "two_site", "d1": -0.05, "a": 0.5,
+                              "minus_index": 2, "plus_index": 6}}, "67af7b002f632607"),
+    ("transform4", {"model": {"kind": "four_site", "d1": 0, "d2": 1, "a": 0.3}},
+     "d1bd755ae522603f"),
+    ("check-hyperbolic", {"hyperbolic": {"c": 0.2, "operator": dict(OPERATOR, gamma1_plus=0.6)}},
+     "9081ef6971146df6"),
+    ("solve-wave", {"model": {"kind": "nagumo", "a": 0.4}, "grid": {"L": 30, "h": 0.5},
+                    "solver": {"c0": 0.2}}, "4fd44818faf44a56"),
+    ("continue", {"model": {"kind": "two_site", "d1": -0.05, "a": 0.5, "d2": 0.01,
+                            "minus": [XM, XP], "plus": [XP, XM]},
+                  "grid": {}, "solver": {"c0": 0}, "continuation": {"eps_to": 1}},
+     "f8a55faf44a8e7c5"),
+    ("fixed-point", {"model": {"kind": "two_site", "d1": 1.0, "d2": -0.1, "a": 0.3,
+                               "eps": 0.05, "minus": [0, 0], "plus": [1, 1]}, "grid": {}},
+     "0ac6c962c1dae43c"),
+    ("simulate", {"model": {"kind": "infinite_range", "a": 0.3, "eps": 0.1},
+                  "sim": {"M": 60, "T": 4, "stride": 3}}, "026c20431620072d"),
+    ("tails", {"model": {"kind": "nagumo", "a": 0.25}, "tails": {"c": 0.28}},
+     "1df2fc62ae4cf733"),
+    ("sweep", {"model": {"kind": "nagumo", "d1": -0.05, "a": 0.5},
+               "sweep": {"parameter": "model.a", "values": [0.4, 0.5],
+                         "command": "equilibria"},
+               "output": {"dir": "sweep-out"}}, "64820d4a845f3ced")])
+def test_config_hash_is_pinned(command, cfg, digest):
+    """The normalized config keeps every value as given (ints in float fields
+    included) and fills today's defaults, so artifacts stamped with its hash
+    rerun byte-identical; a drifting default or a converted value moves it."""
+    assert config_hash(validate(cfg, command)) == digest
+
+
+def _readme_table(header: str) -> list[list[str]]:
+    """Rows of the README table under ``header``, its cells without backticks."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index(header) + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().replace("`", "") for cell in line.strip("|").split(" | ")])
+    return rows
+
+
+def test_readme_config_reference_matches_the_schema():
+    want = [[f"{block}.{field}", json.dumps(default), kind.what]
+            for block, fields in SCHEMA.items() for field, (default, kind) in fields.items()]
+    want += [[f"hyperbolic.operator.{key}",
+              "required" if default is ... else json.dumps(default), kind.what]
+             for key, (default, kind) in OPERATOR_SCHEMA.items()]
+    assert _readme_table("| path | default | accepted values |") == want
+
+
+def test_readme_command_table_matches_the_commands():
+    want = [[command, ", ".join(blocks)] for command, (_, blocks) in COMMANDS.items()]
+    assert _readme_table("| command | required blocks |") == want

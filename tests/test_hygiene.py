@@ -184,3 +184,22 @@ def test_every_field_is_read(path):
               if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
               and item.target.id not in read]
     assert not unread, f"{path.name}: fields nothing reads {unread}"
+
+
+def test_every_config_field_is_read():
+    """A config field that no code reads is an option that changes nothing:
+    every field of the schema and every key of the explicit operator is read
+    by name, as a subscript, in cli.py outside the tables that declare them."""
+    from latticefronts.cli import OPERATOR, SCHEMA
+    tree = _tree(PACKAGE / "cli.py")
+    tables = [node for node in tree.body if isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id in ("SCHEMA", "OPERATOR") for t in node.targets)]
+    inside = {id(n) for table in tables for n in ast.walk(table)}
+    read = {n.slice.value for n in ast.walk(tree)
+            if isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Constant)
+            and id(n) not in inside}
+    fields = [(f"{block}.{field}", field) for block, fields in SCHEMA.items()
+              for field in fields]
+    fields += [(f"hyperbolic.operator.{key}", key) for key in OPERATOR]
+    unread = [path for path, name in fields if name not in read]
+    assert not unread, f"config fields nothing reads {unread}"
