@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 
 from .mfde import MFDEOperator
 from .model import (CubicNonlinearity, FourSiteSystem, InfiniteRangeModel,
-                    LatticeModel, TwoSiteSystem)
+                    LatticeModel, TwoSiteSystem, build_nagumo)
 
 __all__ = [
     "Grid",
@@ -646,24 +646,12 @@ def kernel_vectors(problem: WaveProblem, grid: Grid,
 # ---------------------------------------------------------------------------
 # problem constructors
 
-def _fold_model(model: LatticeModel):
-    """Fold periodic couplings into block-shift matrices (block = one period)."""
-    N = model.period
-    blocks: dict[int, np.ndarray] = {}
-    for (n, k), a in model.couplings.items():
-        j, comp = divmod(n + k, N)
-        blocks.setdefault(j, np.zeros((N, N)))[n, comp] += a
-    shifts = tuple(sorted(blocks))
-    return tuple(float(j) for j in shifts), tuple(blocks[j] for j in shifts)
-
-
 def lattice_problem(model: LatticeModel) -> WaveProblem:
-    shifts, mats = _fold_model(model)
+    shifts, mats = model.blocks()
     return WaveProblem(shifts=shifts, matrices=mats, cubics=model.cubics)
 
 
 def nagumo_problem(d1: float, d2: float, a: float) -> WaveProblem:
-    from .model import build_nagumo
     return lattice_problem(build_nagumo(d1, d2, a))
 
 
@@ -703,16 +691,11 @@ def four_site_problem(system: FourSiteSystem, eps: float = 0.0) -> WaveProblem:
 
 
 def infinite_range_problem(model: InfiniteRangeModel, eps: float = 0.0) -> WaveProblem:
+    """Base lattice as the reference; the tail in difference form (the full
+    model of a base without couplings), folded, as the eps-scaled perturbation."""
     base = lattice_problem(model.base)
-    N = model.base.period
-    tail_blocks: dict[int, np.ndarray] = {}
-    for (n, k), a in model.tail.items():
-        j, comp = divmod(n + k, N)
-        tail_blocks.setdefault(j, np.zeros((N, N)))[n, comp] += a
-        tail_blocks.setdefault(0, np.zeros((N, N)))[n, n] -= a
-    shifts = tuple(sorted(tail_blocks))
+    bare = replace(model.base, couplings={})
+    pert_shifts, pert_mats = replace(model, base=bare).full_model(1.0).blocks()
     return WaveProblem(shifts=base.shifts, matrices=base.matrices,
-                       cubics=base.cubics,
-                       pert_shifts=tuple(float(j) for j in shifts),
-                       pert_matrices=tuple(tail_blocks[j] for j in shifts),
-                       eps=eps)
+                       cubics=base.cubics, pert_shifts=pert_shifts,
+                       pert_matrices=pert_mats, eps=eps)

@@ -24,8 +24,7 @@ from .bvp import (DomainTooSmallError, NewtonDivergenceError, SingularSystemErro
                   WaveProblem, epsilon_scaled_problem, four_site_problem,
                   infinite_range_problem, initial_guess, kernel_vectors, make_grid,
                   nagumo_problem, newton_solve, two_site_problem)
-from .continuation import (ContinuationOptions, continue_in_epsilon,
-                           continue_in_parameter)
+from .continuation import ContinuationOptions, continue_in_parameter
 from .fixedpoint import (ContractionFailureError, KernelObstructionError,
                          StepRejectedError, iterate, make_context)
 from .mfde import asymptotic_hyperbolicity, two_site_operator
@@ -117,8 +116,12 @@ def validate(config: dict, command: str):
     for a, b in (("minus_index", "plus_index"), ("minus", "plus")):
         if (m[a] is None) != (m[b] is None):
             errors.append(f"model.{a} and model.{b} must be given together")
-    if sim["T"] / sim["dt"] <= 0.5:         # round(T / dt) < 1, without overflow
+    steps = sim["T"] / sim["dt"]            # the run takes round(steps) RK4 steps
+    if steps <= 0.5:
         errors.append(f"sim.T = {sim['T']} makes no RK4 step of sim.dt = {sim['dt']}")
+    elif steps == math.inf:
+        errors.append(f"sim.dt = {sim['dt']} makes no finite number of RK4 steps "
+                      f"in sim.T = {sim['T']}")
     op = None if hyp["operator"] is None else _checked(
         "hyperbolic.operator", OPERATOR, hyp["operator"], errors)
     speeds = [hyp["c"]] if op is None else [hyp["c"], op["c"]]
@@ -358,12 +361,12 @@ def cmd_continue(cfg, out, h):
     name = c["parameter"] or "eps"
     target = c["target"] if c["parameter"] else c["eps_to"]
     if name == "eps":
-        branch = continue_in_epsilon(problem, grid, ref, target, opts)
+        problem_of, v0 = problem.with_eps, problem.eps
     else:
         def problem_of(v):
             return build_problem(dict(cfg["model"], **{name: v}))
-        branch = continue_in_parameter(name, problem_of, cfg["model"][name],
-                                       target, grid, ref, opts)
+        v0 = cfg["model"][name]
+    branch = continue_in_parameter(name, problem_of, v0, target, grid, ref, opts)
     lines = branch.csv_lines()
     write_csv(out / "branch.csv", lines[0], lines[1:], h)
     write_json(out / "branch.json", branch.to_json(), h)
@@ -564,8 +567,16 @@ def _parse_override(text: str):
     return path, value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ConfigError, so they exit 4 like a bad config."""
+
+    @staticmethod
+    def error(message):
+        raise ConfigError([message])
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latticefronts",
         description="Traveling fronts of bistable lattice equations: "
                     "equilibria, transforms, hyperbolicity checks, wave "
@@ -579,9 +590,8 @@ def main(argv=None) -> int:
     parser.add_argument("--output", help="output directory (overrides config)")
     parser.add_argument("overrides", nargs="*",
                         help="dotted-path overrides: block.field=value")
-    args = parser.parse_intermixed_args(argv)
-
     try:
+        args = parser.parse_intermixed_args(argv)
         try:
             config = json.loads(Path(args.config).read_text()) if args.config else {}
         except (OSError, json.JSONDecodeError) as exc:

@@ -105,8 +105,12 @@ def _audit(problem: WaveProblem, grid: Grid, solution: WaveSolution,
                       kernel_dim=kd)
 
 
-def _continue(name: str, problem_of, v0: float, v1: float, grid: Grid,
-              reference: WaveSolution, opts: ContinuationOptions) -> ContinuationBranch:
+def continue_in_parameter(name: str, problem_of, v0: float, v1: float,
+                          grid: Grid, reference: WaveSolution,
+                          opts: ContinuationOptions = ContinuationOptions()
+                          ) -> ContinuationBranch:
+    """Homotopy from v0 to v1 with the problem rebuilt per step by
+    problem_of(value); `name` labels the values in the branch's CSV and JSON."""
     steps: list[BranchStep] = []
 
     def stop(reason: str) -> ContinuationBranch:
@@ -164,14 +168,5 @@ def continue_in_epsilon(problem: WaveProblem, grid: Grid,
                         opts: ContinuationOptions = ContinuationOptions()
                         ) -> ContinuationBranch:
     """Homotopy in the perturbation weight from the problem's current eps."""
-    return _continue("eps", problem.with_eps, problem.eps, eps_target, grid,
-                     reference, opts)
-
-
-def continue_in_parameter(name: str, problem_of, v0: float, target: float,
-                          grid: Grid, reference: WaveSolution,
-                          opts: ContinuationOptions = ContinuationOptions()
-                          ) -> ContinuationBranch:
-    """Same machinery with the problem rebuilt per step by problem_of(value);
-    `name` labels the values in the branch's CSV and JSON."""
-    return _continue(name, problem_of, v0, target, grid, reference, opts)
+    return continue_in_parameter("eps", problem.with_eps, problem.eps, eps_target,
+                                 grid, reference, opts)

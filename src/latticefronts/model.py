@@ -98,6 +98,18 @@ class LatticeModel:
     def coupling(self, n: int, k: int) -> float:
         return self.couplings.get((n % self.period, k), 0.0)
 
+    def blocks(self) -> tuple[tuple[float, ...], tuple[np.ndarray, ...]]:
+        """The lattice folded with its period N into a vector lattice: block
+        j holds a_{n,k} at (n, m) where n + k = jN + m.  Returns the block
+        shifts j in increasing order, as floats, and the N x N blocks."""
+        N = self.period
+        blocks: dict[int, np.ndarray] = {}
+        for (n, k), a in self.couplings.items():
+            j, m = divmod(n + k, N)
+            blocks.setdefault(j, np.zeros((N, N)))[n, m] += a
+        shifts = tuple(sorted(blocks))
+        return tuple(float(j) for j in shifts), tuple(blocks[j] for j in shifts)
+
 
 @dataclass(frozen=True)
 class PeriodicState:
@@ -163,18 +175,19 @@ class InfiniteRangeModel:
         return LatticeModel(self.base.period, couplings, self.base.cubics)
 
 
+def _neighbor_lattice(d1: float, d2: float, f: CubicNonlinearity,
+                      period: int) -> LatticeModel:
+    """First/second neighbor diffusion and reaction f, written with `period` sites."""
+    weights = {-2: d2, -1: d1, 0: -2.0 * d1 - 2.0 * d2, 1: d1, 2: d2}
+    couplings = {(n, k): w for n in range(period) for k, w in weights.items()}
+    return LatticeModel(period, couplings, (f,) * period)
+
+
 def build_nagumo(d1: float, d2: float, a: float) -> LatticeModel:
     """Scalar lattice with first/second neighbor diffusion and cubic f_a."""
     if not 0.0 < a < 1.0:
         raise ValueError(f"middle root a={a} must lie in (0, 1)")
-    couplings = {
-        (0, -2): d2,
-        (0, -1): d1,
-        (0, 0): -2.0 * d1 - 2.0 * d2,
-        (0, 1): d1,
-        (0, 2): d2,
-    }
-    return LatticeModel(1, couplings, (CubicNonlinearity(1.0, a),))
+    return _neighbor_lattice(d1, d2, CubicNonlinearity(1.0, a), 1)
 
 
 def _refine_roots(g, lo, hi, tol: float) -> np.ndarray:
@@ -274,6 +287,18 @@ def _match_cubic(samples_v: np.ndarray, samples_f: np.ndarray) -> CubicNonlinear
     return CubicNonlinearity(k, float(c1 / c3))
 
 
+def _differences(name: str, period: int, minus: PeriodicState,
+                 plus: PeriodicState) -> np.ndarray:
+    """plus - minus, once both are equilibria of the transform `name`'s period."""
+    if minus.period != period or plus.period != period:
+        raise TransformError(f"{name} needs period-{period} states")
+    for st in (minus, plus):
+        if st.residual > _EQUILIBRIUM_TOL:
+            raise TransformError(
+                f"input state {st.values} has equilibrium defect {st.residual:.3e}")
+    return plus.as_array() - minus.as_array()
+
+
 def two_site_transform(d1: float, d2: float, a: float,
                        minus: PeriodicState, plus: PeriodicState) -> TwoSiteSystem:
     """Affine change of variables sending (minus, plus) to (0, 1) componentwise.
@@ -282,18 +307,11 @@ def two_site_transform(d1: float, d2: float, a: float,
     coefficient matching; the closed-form expression for the middle root
     is evaluated separately and a discrepancy flag is raised on mismatch.
     """
-    if minus.period != 2 or plus.period != 2:
-        raise TransformError("two_site_transform needs period-2 states")
-    for st in (minus, plus):
-        if st.residual > _EQUILIBRIUM_TOL:
-            raise TransformError(
-                f"input state {st.values} has equilibrium defect {st.residual:.3e}")
-    f = CubicNonlinearity(1.0, a)
-    xm, ym = minus.values
-    xp, yp = plus.values
-    dx, dy = xp - xm, yp - ym
+    dx, dy = _differences("two_site_transform", 2, minus, plus)
     if dx == 0.0 or dy == 0.0:
         raise TransformError("component differences must be nonzero")
+    f = CubicNonlinearity(1.0, a)
+    xm, ym = minus.values
     d_e = d1 * dy / dx
     d_o = d1 * dx / dy
 
@@ -328,20 +346,6 @@ def _four_site_rhs(u, d1, d2, f):
     ], axis=-1)
 
 
-def _four_site_jac(u, d1, d2, f):
-    """Jacobians of `_four_site_rhs` at a stack of states (K, 4): (K, 4, 4)."""
-    J = np.array([
-        [-2.0 * d1 - 2.0 * d2, d1, 2.0 * d2, d1],
-        [d1, -2.0 * d1 - 2.0 * d2, d1, 2.0 * d2],
-        [2.0 * d2, d1, -2.0 * d1 - 2.0 * d2, d1],
-        [d1, 2.0 * d2, d1, -2.0 * d1 - 2.0 * d2],
-    ])
-    out = np.repeat(J[None], len(u), axis=0)
-    diag = np.arange(4)
-    out[:, diag, diag] -= f.deriv(u)
-    return out
-
-
 def _solve_stack(J, rhs):
     """Solutions of J_k x = rhs_k and a mask of the solvable systems; a
     singular J_k leaves its row of x undefined and its mask entry False."""
@@ -368,6 +372,9 @@ def find_four_periodic_equilibria(d1: float, d2: float, a: float) -> list[Period
     always included, exactly, in place of nearby converged seeds.
     """
     f = CubicNonlinearity(1.0, a)
+    # the Jacobian's coupling part: the period-4 lattice's blocks, summed
+    coupling = np.sum(_neighbor_lattice(d1, d2, f, 4).blocks()[1], axis=0)
+    diag = np.arange(4)
     u = np.array(np.meshgrid(*[_FOUR_SITE_SEEDS] * 4)).reshape(4, -1).T.astype(float)
     active = np.ones(len(u), bool)
     ok = np.zeros(len(u), bool)
@@ -380,7 +387,9 @@ def find_four_periodic_equilibria(d1: float, d2: float, a: float) -> list[Period
         ok[idx[done]] = True
         active[idx[done]] = False
         idx, r = idx[~done], r[~done]
-        step, solved = _solve_stack(_four_site_jac(u[idx], d1, d2, f), -r)
+        jac = np.repeat(coupling[None], len(idx), axis=0)
+        jac[:, diag, diag] -= f.deriv(u[idx])
+        step, solved = _solve_stack(jac, -r)
         good = (solved & np.all(np.isfinite(step), axis=1)
                 & (np.max(np.abs(step), axis=1) <= 10.0))
         active[idx[~good]] = False
@@ -398,51 +407,26 @@ def find_four_periodic_equilibria(d1: float, d2: float, a: float) -> list[Period
 def four_site_transform(d1: float, d2: float, a: float,
                         minus: PeriodicState, plus: PeriodicState) -> FourSiteSystem:
     """Build the 4x4 shift matrices, their reference/perturbation split, and
-    the transformed cubics for a period-4 connection."""
-    if minus.period != 4 or plus.period != 4:
-        raise TransformError("four_site_transform needs period-4 states")
-    for st in (minus, plus):
-        if st.residual > _EQUILIBRIUM_TOL:
-            raise TransformError(
-                f"input state {st.values} has equilibrium defect {st.residual:.3e}")
-    f = CubicNonlinearity(1.0, a)
-    d = plus.as_array() - minus.as_array()
+    the transformed cubics for a period-4 connection.
+
+    With d = plus - minus, v = (u - minus) / d turns block B_j of the period-4
+    lattice into diag(d)^-1 B_j diag(d): A1, A2, A3 for the shifts -1, 0, 1.
+    The perturbation B2 is the w-x and x-y bonds of A2 in difference form."""
+    d = _differences("four_site_transform", 4, minus, plus)
     if np.any(d == 0.0):
         raise TransformError("all four component differences must be nonzero")
-    dw, dx, dy, dz = d
-
-    A1 = np.zeros((4, 4))
-    A1[0, 2] = d2 * dy / dw
-    A1[0, 3] = d1 * dz / dw
-    A1[1, 3] = d2 * dz / dx
-
-    A2 = np.zeros((4, 4))
-    A2[0, 1] = d1 * dx / dw
-    A2[0, 2] = d2 * dy / dw
-    A2[1, 0] = d1 * dw / dx
-    A2[1, 2] = d1 * dy / dx
-    A2[1, 3] = d2 * dz / dx
-    A2[2, 0] = d2 * dw / dy
-    A2[2, 1] = d1 * dx / dy
-    A2[2, 3] = d1 * dz / dy
-    A2[3, 1] = d2 * dx / dz
-    A2[3, 2] = d1 * dy / dz
-
-    A3 = np.zeros((4, 4))
-    A3[2, 0] = d2 * dw / dy
-    A3[3, 0] = d1 * dw / dz
-    A3[3, 1] = d2 * dx / dz
+    f = CubicNonlinearity(1.0, a)
+    A1, A2, A3 = (B * d / d[:, None] for B in _neighbor_lattice(d1, d2, f, 4).blocks()[1])
 
     # diagonal of A2 closes the row sums of A1 + A2 + A3 to zero
     np.fill_diagonal(A2, 0.0)
     np.fill_diagonal(A2, -np.sum(A1 + A2 + A3, axis=1))
 
-    B2 = d1 * np.array([
-        [-dx / dw, dx / dw, 0.0, 0.0],
-        [dw / dx, -(dy / dx + dw / dx), dy / dx, 0.0],
-        [0.0, dx / dy, -dx / dy, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-    ])
+    # only the rows w, x, y hold a split bond; z's row of B2 stays zero
+    bonds = ([0, 1, 1, 2], [1, 0, 2, 1])
+    B2 = np.zeros((4, 4))
+    B2[bonds] = A2[bonds]
+    B2[[0, 1, 2], [0, 1, 2]] = -np.sum(B2[:3], axis=1)
     A1_ref = A1.copy()
     A3_ref = A3.copy()
     A2_ref = A2 - B2
@@ -454,13 +438,10 @@ def four_site_transform(d1: float, d2: float, a: float,
     cubics = []
     vs = np.array([0.0, 1.0, 2.0, -1.0])
     for i in range(4):
-        vals = []
-        for v in vs:
-            u = minus.as_array().copy()
-            u[i] += d[i] * v
-            g = _four_site_rhs(u, d1, d2, f)[i] / d[i]
-            vals.append(total[i, i] * v - g)
-        cubics.append(_match_cubic(vs, np.array(vals)))
+        u = np.tile(minus.as_array(), (len(vs), 1))
+        u[:, i] += d[i] * vs
+        g = _four_site_rhs(u, d1, d2, f)[:, i] / d[i]
+        cubics.append(_match_cubic(vs, total[i, i] * vs - g))
 
     return FourSiteSystem(A1=A1, A2=A2, A3=A3,
                           A1_ref=A1_ref, A2_ref=A2_ref, A3_ref=A3_ref, B2=B2,

@@ -199,6 +199,12 @@ def _crossing_position(chain: np.ndarray, positions: np.ndarray, level: float):
     return float(positions[i] + (level - v0) / (v1 - v0) * (positions[i + 1] - positions[i]))
 
 
+def _trailing(traj: Trajectory):
+    """Times and snapshots of the trajectory's trailing _WINDOW share, at least two."""
+    n_keep = max(2, int(round(len(traj.times) * _WINDOW)))
+    return traj.times[-n_keep:], traj.states[-n_keep:]
+
+
 def measure_speed(traj: Trajectory, level: float = 0.5) -> SpeedMeasurement:
     """Least-squares drift of the first component's level crossing over the
     trailing window.
@@ -207,10 +213,9 @@ def measure_speed(traj: Trajectory, level: float = 0.5) -> SpeedMeasurement:
     """
     N = traj.model.period
     sel = np.arange(0, traj.sites, N)
-    n_keep = max(2, int(round(len(traj.times) * _WINDOW)))
-    times = traj.times[-n_keep:]
+    times, snaps = _trailing(traj)
     positions = []
-    for snap in traj.states[-n_keep:]:
+    for snap in snaps:
         pos = _crossing_position(snap[sel], sel.astype(float), level)
         if pos is None:
             raise NoFrontError(
@@ -232,9 +237,7 @@ def extract_profile(traj: Trajectory, c: float):
     flag is set when scatter exceeds 0.05 (not a clean traveling wave).
     """
     N = traj.model.period
-    n_keep = max(2, int(round(len(traj.times) * _WINDOW)))
-    times = traj.times[-n_keep:]
-    snaps = traj.states[-n_keep:]
+    times, snaps = _trailing(traj)
     j_idx = np.arange(traj.sites // N, dtype=float)
     lo = max(j_idx[0] + c * t for t in times) + _PROFILE_MARGIN
     hi = min(j_idx[-1] + c * t for t in times) - _PROFILE_MARGIN

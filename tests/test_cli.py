@@ -373,11 +373,14 @@ def test_nonpositive_tolerance_exits_4(tmp_path, capsys, command, cfg, violation
 
 @pytest.mark.parametrize("sim, field", [
     ({"M": 400.5}, "sim.M"), ({"stride": 2.5}, "sim.stride"),
-    ({"M": True}, "sim.M"), ({"T": 0.001}, "sim.T")],
-    ids=["M-fraction", "stride-fraction", "M-bool", "T-below-half-step"])
+    ({"M": True}, "sim.M"), ({"T": 0.001}, "sim.T"),
+    ({"M": 60, "dt": 5e-324}, "sim.dt")],
+    ids=["M-fraction", "stride-fraction", "M-bool", "T-below-half-step",
+         "dt-subnormal"])
 def test_simulate_config_errors_exit_4(tmp_path, capsys, sim, field):
-    """M and stride are whole numbers, and T spans at least one RK4 step
-    (round(T / dt) >= 1); otherwise validate names the field."""
+    """M and stride are whole numbers, and T spans at least one and a
+    finite number of RK4 steps (1 <= round(T / dt) < inf); otherwise
+    validate names the field."""
     cfg = {"model": {"kind": "nagumo"}, "sim": sim}
     assert run("simulate", cfg, tmp_path) == 4
     err = json.loads(capsys.readouterr().err.strip())
@@ -389,6 +392,27 @@ def test_simulate_config_errors_exit_4(tmp_path, capsys, sim, field):
 
 def test_main_bad_override_exits_4(tmp_path, capsys):
     assert main(["solve-wave", "not-a-path"]) == 4
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["solve-wave", "--bogus-flag"], "unrecognized arguments: --bogus-flag")],
+    ids=["unknown-command", "unknown-flag"])
+def test_main_argument_errors_exit_4_with_json(capsys, argv, needle):
+    """An argument error is a config error: exit 4 and one JSON object on
+    stderr, not argparse's usage text and exit 2 (the convergence code)."""
+    assert main(argv) == 4
+    err = capsys.readouterr().err.strip()
+    payload = json.loads(err)
+    assert payload["error"] == "invalid_config"
+    assert len(payload["violations"]) == 1 and needle in payload["violations"][0]
+
+
+def test_main_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert "usage: latticefronts" in capsys.readouterr().out
 
 
 def test_artifacts_are_byte_identical_across_runs(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Model construction: equilibria scans, periodic-to-system transforms,
 geometric-kernel truncation."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticefronts.bvp import four_site_problem
 from latticefronts.model import (
     CubicNonlinearity,
     DecoupledLatticeError,
@@ -302,6 +304,88 @@ def test_four_site_coupling_rows_sum_to_zero():
     fs = four_site_transform(-0.05, 0.01, 0.5, pick((0.0,) * 4), pick((1.0,) * 4))
     rows = (fs.A1 + fs.A2 + fs.A3).sum(axis=1)
     assert np.max(np.abs(rows)) <= 1e-12
+
+
+# competing (d1 < 0 < d2, d1 > 0 > d2) and cooperative first/second neighbors
+FOUR_SITE_CASES = [(-0.05, 0.01, 0.5), (0.3, -0.1, 0.45), (1.0, 0.2, 0.3)]
+
+
+@functools.lru_cache(maxsize=None)
+def _four_site_systems(d1, d2, a):
+    """The four-site system of every ordered pair of period-4 equilibria
+    that has one (all components differ and the cubics match)."""
+    states = find_four_periodic_equilibria(d1, d2, a)
+    systems = []
+    for minus in states:
+        for plus in states:
+            try:
+                systems.append(four_site_transform(d1, d2, a, minus, plus))
+            except TransformError:
+                pass
+    return systems
+
+
+@pytest.mark.parametrize("d1, d2, a", FOUR_SITE_CASES)
+def test_four_site_split_leaves_exact_zeros_on_the_split_bonds(d1, d2, a):
+    """B2 carries A2's w-x and x-y bonds whole, so the reference A2_ref
+    has exact zeros there, and B2 has nothing off those bonds and the
+    diagonal of the rows w, x, y."""
+    bonds = ([0, 1, 1, 2], [1, 0, 2, 1])
+    off = np.ones((4, 4), bool)
+    off[bonds] = False
+    off[[0, 1, 2], [0, 1, 2]] = False
+    systems = _four_site_systems(d1, d2, a)
+    assert systems
+    for fs in systems:
+        assert np.all(fs.A2_ref[bonds] == 0.0)
+        assert np.all(fs.B2[bonds] == fs.A2[bonds])
+        assert np.all(fs.B2[off] == 0.0)
+        assert np.max(np.abs((fs.A2_ref + fs.B2) - fs.A2)) <= 1e-14 * np.max(np.abs(fs.A2))
+
+
+def _period_four_rhs(u, d1, d2, f):
+    """du_n/dt of the first/second neighbor lattice, u periodic."""
+    lap1 = np.roll(u, 1) - 2.0 * u + np.roll(u, -1)
+    lap2 = np.roll(u, 2) - 2.0 * u + np.roll(u, -2)
+    return d1 * lap1 + d2 * lap2 - f(u)
+
+
+@functools.lru_cache(maxsize=None)
+def _four_site_stacks(d1, d2, a):
+    """x_-, d = x_+ - x_-, the eps = 1 couplings of the shifts -1, 0, 1
+    (A1, A2_ref + B2, A3) and the cubics' k and a of every system, stacked."""
+    systems = _four_site_systems(d1, d2, a)
+    minus = np.array([fs.minus.as_array() for fs in systems])
+    d = np.array([fs.plus.as_array() for fs in systems]) - minus
+    mats = []
+    for fs in systems:
+        shifts, merged = four_site_problem(fs, eps=1.0).effective_coupling()
+        assert shifts == (-1.0, 0.0, 1.0)
+        mats.append(merged)
+    ks = np.array([[g.k for g in fs.cubics] for fs in systems])
+    roots = np.array([[g.a for g in fs.cubics] for fs in systems])
+    return minus, d, np.array(mats), CubicNonlinearity(ks[:, None, :], roots[:, None, :])
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(FOUR_SITE_CASES),
+       v=st.lists(st.floats(-1.5, 2.5), min_size=12, max_size=12))
+def test_four_site_change_of_variables_commutes_with_the_lattice(case, v):
+    """u = x_- + d o v on three periods: the lattice's right-hand side at u
+    is d o (the four-site system's right-hand side at v), for every system
+    of the case, with the eps = 1 coupling and the transformed cubics.
+    Checks the matrices, the split and the cubics without their formulas."""
+    d1, d2, a = case
+    minus, d, mats, cubics = _four_site_stacks(*case)
+    V = np.reshape(v, (3, 4))
+    u = minus[:, None, :] + d[:, None, :] * V                        # (S, 3, 4)
+    lattice = np.array([_period_four_rhs(w.ravel(), d1, d2, CubicNonlinearity(1.0, a))
+                        for w in u]).reshape(u.shape)
+    shifted = np.array([np.roll(V, -r, axis=0) for r in (-1, 0, 1)])  # V_{m + r}
+    system = np.einsum("srij,rmj->smi", mats, shifted) - cubics(V)
+    scale = 1.0 + np.max(np.abs(u), axis=(1, 2)) ** 3 + np.max(np.abs(d), axis=1)
+    err = np.max(np.abs(lattice - d[:, None, :] * system), axis=(1, 2))
+    assert np.all(err <= 1e-10 * scale)
 
 
 # --------------------------------------------------------------------------
