@@ -9,10 +9,10 @@ constructive perturbation scheme validating the continuation structure.
 __version__ = "0.1.0"
 
 from .model import (CubicNonlinearity, LatticeModel, PeriodicState,
-                    TwoSiteSystem, FourSiteSystem, InfiniteRangeModel,
+                    PeriodicSystem, InfiniteRangeModel, SPLIT_BONDS,
                     build_nagumo, find_two_periodic_equilibria,
-                    two_site_transform, find_four_periodic_equilibria,
-                    four_site_transform, build_infinite_range)
+                    find_four_periodic_equilibria, periodic_transform,
+                    build_infinite_range)
 from .mfde import (MFDEOperator, HyperbolicityReport, characteristic_matrix,
                    characteristic_matrices, is_hyperbolic,
                    asymptotic_hyperbolicity, adjoint, upsilon_two_site,
@@ -20,7 +20,7 @@ from .mfde import (MFDEOperator, HyperbolicityReport, characteristic_matrix,
 from .bvp import (Grid, WaveProblem, WaveSolution, make_grid, initial_guess,
                   assemble_residual, assemble_jacobian, newton_solve,
                   kernel_vectors, nagumo_problem, epsilon_scaled_problem,
-                  two_site_problem, four_site_problem, infinite_range_problem)
+                  periodic_problem, infinite_range_problem)
 from .fixedpoint import (FixedPointContext, FixedPointState, make_context,
                          remainder_N, residual_R, speed_update, apply_T,
                          iterate)

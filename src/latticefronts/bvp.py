@@ -19,8 +19,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mfde import MFDEOperator
-from .model import (CubicNonlinearity, FourSiteSystem, InfiniteRangeModel,
-                    LatticeModel, TwoSiteSystem, build_nagumo)
+from .model import (CubicNonlinearity, InfiniteRangeModel, LatticeModel,
+                    PeriodicSystem, build_nagumo)
 
 __all__ = [
     "Grid",
@@ -42,8 +42,7 @@ __all__ = [
     "kernel_vectors",
     "nagumo_problem",
     "epsilon_scaled_problem",
-    "two_site_problem",
-    "four_site_problem",
+    "periodic_problem",
     "lattice_problem",
     "infinite_range_problem",
 ]
@@ -666,28 +665,12 @@ def epsilon_scaled_problem(d1: float, d2: float, a: float, eps: float) -> WavePr
                        cubics=(CubicNonlinearity(1.0, a),))
 
 
-def two_site_problem(system: TwoSiteSystem, eps: float = 0.0) -> WaveProblem:
-    """Reference even/odd system with the second-neighbor coupling as the
+def periodic_problem(system: PeriodicSystem, eps: float) -> WaveProblem:
+    """Reference system of a periodic transform with its split bonds as the
     eps-scaled perturbation."""
-    d_e, d_o, d2 = system.d_e, system.d_o, system.d2
-    base = (
-        np.array([[0.0, d_e], [0.0, 0.0]]),
-        np.array([[-2.0 * d_e, d_e], [d_o, -2.0 * d_o]]),
-        np.array([[0.0, 0.0], [d_o, 0.0]]),
-    )
-    eye2 = np.eye(2)
-    pert = (d2 * eye2, -2.0 * d2 * eye2, d2 * eye2)
-    return WaveProblem(shifts=(-1.0, 0.0, 1.0), matrices=base,
-                       cubics=(system.f_e, system.f_o),
-                       pert_shifts=(-1.0, 0.0, 1.0), pert_matrices=pert, eps=eps)
-
-
-def four_site_problem(system: FourSiteSystem, eps: float = 0.0) -> WaveProblem:
-    """Reference 4-component system with B2 as the eps-scaled perturbation."""
-    base = (system.A1_ref, system.A2_ref, system.A3_ref)
-    return WaveProblem(shifts=(-1.0, 0.0, 1.0), matrices=base,
-                       cubics=system.cubics,
-                       pert_shifts=(0.0,), pert_matrices=(system.B2,), eps=eps)
+    return WaveProblem(shifts=system.shifts, matrices=system.matrices,
+                       cubics=system.cubics, pert_shifts=system.pert_shifts,
+                       pert_matrices=system.pert_matrices, eps=eps)
 
 
 def infinite_range_problem(model: InfiniteRangeModel, eps: float = 0.0) -> WaveProblem:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -21,17 +22,16 @@ import numpy as np
 
 from . import __version__
 from .bvp import (DomainTooSmallError, NewtonDivergenceError, SingularSystemError,
-                  WaveProblem, epsilon_scaled_problem, four_site_problem,
-                  infinite_range_problem, initial_guess, kernel_vectors, make_grid,
-                  nagumo_problem, newton_solve, two_site_problem)
+                  WaveProblem, epsilon_scaled_problem, infinite_range_problem,
+                  initial_guess, kernel_vectors, make_grid, nagumo_problem,
+                  newton_solve, periodic_problem)
 from .continuation import ContinuationOptions, continue_in_parameter
 from .fixedpoint import (ContractionFailureError, KernelObstructionError,
                          StepRejectedError, iterate, make_context)
 from .mfde import asymptotic_hyperbolicity, two_site_operator
-from .model import (FourSiteSystem, TwoSiteSystem, build_infinite_range,
+from .model import (SPLIT_BONDS, PeriodicSystem, build_infinite_range,
                     build_nagumo, find_four_periodic_equilibria,
-                    find_two_periodic_equilibria, four_site_transform,
-                    two_site_transform)
+                    find_two_periodic_equilibria, periodic_transform)
 from .sim import (BlowUpError, NoFrontError, check_monotonicity, extract_profile,
                   front_state, integrate, measure_speed)
 from .tails import (NoRealRootError, TailFitError, periodic_decay_rate,
@@ -44,6 +44,10 @@ EXIT_CONVERGENCE = 2
 EXIT_HYPERBOLICITY = 3
 EXIT_CONFIG = 4
 EXIT_KERNEL = 5
+
+# most values a simulate run's snapshot array may hold (sim.M per snapshot):
+# 400 MB of float64
+_MAX_SNAPSHOT_VALUES = 50_000_000
 
 
 class Kind(NamedTuple):
@@ -122,6 +126,13 @@ def validate(config: dict, command: str):
     elif steps == math.inf:
         errors.append(f"sim.dt = {sim['dt']} makes no finite number of RK4 steps "
                       f"in sim.T = {sim['T']}")
+    else:
+        # the initial state, every stride-th step and the last one
+        values = (1 - (-round(steps) // sim["stride"])) * sim["M"]
+        if values > _MAX_SNAPSHOT_VALUES:
+            errors.append(f"sim.dt = {sim['dt']} makes {values} snapshot values in "
+                          f"sim.T = {sim['T']} (sim.stride = {sim['stride']}, sim.M = "
+                          f"{sim['M']}); at most {_MAX_SNAPSHOT_VALUES} are kept")
     op = None if hyp["operator"] is None else _checked(
         "hyperbolic.operator", OPERATOR, hyp["operator"], errors)
     speeds = [hyp["c"]] if op is None else [hyp["c"], op["c"]]
@@ -212,19 +223,20 @@ def _select_pair(states, m):
     return nontrivial[0], nontrivial[-1]
 
 
-def _two_site_system(m: dict) -> TwoSiteSystem:
-    states = find_two_periodic_equilibria(m["d1"], m["a"])
-    minus, plus = _select_pair(states, m)
-    return two_site_transform(m["d1"], m["d2"], m["a"], minus, plus)
+def _equilibria(m: dict, period: int):
+    if period == 4:
+        return find_four_periodic_equilibria(m["d1"], m["d2"], m["a"])
+    return find_two_periodic_equilibria(m["d1"], m["a"])
 
 
-def _four_site_system(m: dict) -> FourSiteSystem:
-    """Four-site transform of the selected pair, by default 0^4 -> 1^4."""
-    states = find_four_periodic_equilibria(m["d1"], m["d2"], m["a"])
-    if m["minus"] is None and m["minus_index"] is None:
+def _periodic_system(m: dict, period: int) -> PeriodicSystem:
+    """Period-2 or period-4 transform of the selected pair; by default the
+    outermost non-homogeneous pair for period 2 and 0^4 -> 1^4 for period 4."""
+    states = _equilibria(m, period)
+    if period == 4 and m["minus"] is None and m["minus_index"] is None:
         m = dict(m, minus=[0.0] * 4, plus=[1.0] * 4)
     minus, plus = _select_pair(states, m)
-    return four_site_transform(m["d1"], m["d2"], m["a"], minus, plus)
+    return periodic_transform(m["d1"], m["d2"], m["a"], minus, plus, SPLIT_BONDS[period])
 
 
 def build_problem(m: dict) -> WaveProblem:
@@ -233,10 +245,9 @@ def build_problem(m: dict) -> WaveProblem:
         return nagumo_problem(m["d1"], m["d2"], m["a"])
     if kind == "eps_scaled":
         return epsilon_scaled_problem(m["d1"], m["d2"], m["a"], m["eps"])
-    if kind == "two_site":
-        return two_site_problem(_two_site_system(m), eps=m["eps"])
-    if kind == "four_site":
-        return four_site_problem(_four_site_system(m), eps=m["eps"])
+    if kind in ("two_site", "four_site"):
+        period = 2 if kind == "two_site" else 4
+        return periodic_problem(_periodic_system(m, period), m["eps"])
     if kind == "infinite_range":
         irm = build_infinite_range(m["a"], m["q"], m["scale"], m["k0"], m["k_num"])
         return infinite_range_problem(irm, eps=m["eps"])
@@ -267,10 +278,7 @@ def _solve(cfg, problem: WaveProblem):
 
 def cmd_equilibria(cfg, out, h):
     m = cfg["model"]
-    if m["period"] == 4:
-        states = find_four_periodic_equilibria(m["d1"], m["d2"], m["a"])
-    else:
-        states = find_two_periodic_equilibria(m["d1"], m["a"])
+    states = _equilibria(m, m["period"])
     write_json(out / "equilibria.json", {
         "period": m["period"],
         "states": [{"values": list(st.values), "residual": st.residual}
@@ -279,31 +287,22 @@ def cmd_equilibria(cfg, out, h):
     return EXIT_OK
 
 
-def cmd_transform2(cfg, out, h):
-    ts = _two_site_system(cfg["model"])
-    write_json(out / "model.json", {
-        "d_e": ts.d_e, "d_o": ts.d_o, "d2": ts.d2,
-        "f_e": {"k": ts.f_e.k, "a": ts.f_e.a},
-        "f_o": {"k": ts.f_o.k, "a": ts.f_o.a},
-        "provenance": {"minus": list(ts.minus.values),
-                       "plus": list(ts.plus.values),
-                       "middle_root_formula_discrepancy":
-                           ts.a_e_formula_discrepancy}}, h)
-    print(f"d_e={ts.d_e:.6g} d_o={ts.d_o:.6g} "
-          f"discrepancy={ts.a_e_formula_discrepancy}")
-    return EXIT_OK
+def _coupling_json(shifts, matrices) -> dict:
+    return {"shifts": list(shifts), "matrices": [A.tolist() for A in matrices]}
 
 
-def cmd_transform4(cfg, out, h):
-    fs = _four_site_system(cfg["model"])
+def cmd_transform(period, cfg, out, h):
+    """transform2 and transform4: the period-2 or period-4 system as its
+    eps = 1 coupling, its reference and perturbation parts, and its cubics."""
+    ps = _periodic_system(cfg["model"], period)
     write_json(out / "model.json", {
-        "A1": fs.A1.tolist(), "A2": fs.A2.tolist(), "A3": fs.A3.tolist(),
-        "A1_ref": fs.A1_ref.tolist(), "A2_ref": fs.A2_ref.tolist(),
-        "A3_ref": fs.A3_ref.tolist(), "B2": fs.B2.tolist(),
-        "cubics": [{"k": c.k, "a": c.a} for c in fs.cubics],
-        "provenance": {"minus": list(fs.minus.values),
-                       "plus": list(fs.plus.values)}}, h)
-    print("four-site transform written")
+        **_coupling_json(*periodic_problem(ps, 1.0).effective_coupling()),
+        "reference": _coupling_json(ps.shifts, ps.matrices),
+        "perturbation": _coupling_json(ps.pert_shifts, ps.pert_matrices),
+        "cubics": [{"k": c.k, "a": c.a} for c in ps.cubics],
+        "provenance": {"minus": list(ps.minus.values),
+                       "plus": list(ps.plus.values)}}, h)
+    print(f"period-{period} transform written")
     return EXIT_OK
 
 
@@ -467,8 +466,8 @@ def cmd_sweep(cfg, out, h):
 # command -> (function, config blocks it requires)
 COMMANDS = {
     "equilibria": (cmd_equilibria, ("model",)),
-    "transform2": (cmd_transform2, ("model",)),
-    "transform4": (cmd_transform4, ("model",)),
+    "transform2": (functools.partial(cmd_transform, 2), ("model",)),
+    "transform4": (functools.partial(cmd_transform, 4), ("model",)),
     "check-hyperbolic": (cmd_check_hyperbolic, ("hyperbolic",)),
     "solve-wave": (cmd_solve_wave, ("model", "grid")),
     "continue": (cmd_continue, ("model", "grid", "continuation")),

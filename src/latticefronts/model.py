@@ -5,15 +5,15 @@ Site dynamics follow
     du_n/dt = sum_k a_{n,k} u_{n+k} - f_n(u_n),
 
 with coefficients a_{n,k} periodic in n and f_n a cubic with stable zeros
-0 and 1.  The module also carries the 2-site and 4-site changes of
-variables that turn connections between period-2 / period-4 equilibria
-into vector systems connecting the constant states 0 and 1.
+0 and 1.  The module also carries the period-P change of variables that
+turns a connection between period-P equilibria into a P-component system
+connecting the constant states 0 and 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,16 +21,15 @@ __all__ = [
     "CubicNonlinearity",
     "LatticeModel",
     "PeriodicState",
-    "TwoSiteSystem",
-    "FourSiteSystem",
+    "PeriodicSystem",
     "InfiniteRangeModel",
     "DecoupledLatticeError",
     "TransformError",
+    "SPLIT_BONDS",
     "build_nagumo",
     "find_two_periodic_equilibria",
-    "two_site_transform",
     "find_four_periodic_equilibria",
-    "four_site_transform",
+    "periodic_transform",
     "build_infinite_range",
 ]
 
@@ -40,8 +39,16 @@ _FOUR_SITE_SEEDS = (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5)  # per axis of the see
 _FOUR_SITE_NEWTON_ITERS = 50
 _ROOT_LEVELS = 5                 # bisection steps per round of a root refinement
 _ROOT_ROUNDS = 40                # most rounds of a root refinement (200 steps)
-_EQUILIBRIUM_TOL = 1e-9          # largest input defect a transform accepts
+_EQUILIBRIUM_TOL = 1e-9          # largest input defect the transform accepts
 _CUBIC_MATCH_TOL = 1e-12         # largest relative f(0), f(1) of a matched cubic
+
+# the bonds (n, k) that periodic_transform moves to the perturbation: the
+# second neighbours of the period-2 lattice, and the w-x and x-y bonds of the
+# period-4 lattice
+SPLIT_BONDS = {
+    2: frozenset((n, k) for n in range(2) for k in (-2, 2)),
+    4: frozenset({(0, 1), (1, -1), (1, 1), (2, -1)}),
+}
 
 
 class DecoupledLatticeError(ValueError):
@@ -126,26 +133,15 @@ class PeriodicState:
 
 
 @dataclass(frozen=True)
-class TwoSiteSystem:
-    d_e: float
-    d_o: float
-    d2: float
-    f_e: CubicNonlinearity
-    f_o: CubicNonlinearity
-    minus: PeriodicState
-    plus: PeriodicState
-    a_e_formula_discrepancy: bool
+class PeriodicSystem:
+    """A period-P lattice in the variables v = (u - minus) / (plus - minus):
+    a P-component lattice connecting 0 to 1, whose coupling is a reference
+    (shifts, matrices) plus a perturbation (pert_shifts, pert_matrices)."""
 
-
-@dataclass(frozen=True)
-class FourSiteSystem:
-    A1: np.ndarray
-    A2: np.ndarray
-    A3: np.ndarray
-    A1_ref: np.ndarray
-    A2_ref: np.ndarray
-    A3_ref: np.ndarray
-    B2: np.ndarray
+    shifts: tuple[float, ...]
+    matrices: tuple[np.ndarray, ...]
+    pert_shifts: tuple[float, ...]
+    pert_matrices: tuple[np.ndarray, ...]
     cubics: tuple[CubicNonlinearity, ...]
     minus: PeriodicState
     plus: PeriodicState
@@ -287,54 +283,6 @@ def _match_cubic(samples_v: np.ndarray, samples_f: np.ndarray) -> CubicNonlinear
     return CubicNonlinearity(k, float(c1 / c3))
 
 
-def _differences(name: str, period: int, minus: PeriodicState,
-                 plus: PeriodicState) -> np.ndarray:
-    """plus - minus, once both are equilibria of the transform `name`'s period."""
-    if minus.period != period or plus.period != period:
-        raise TransformError(f"{name} needs period-{period} states")
-    for st in (minus, plus):
-        if st.residual > _EQUILIBRIUM_TOL:
-            raise TransformError(
-                f"input state {st.values} has equilibrium defect {st.residual:.3e}")
-    return plus.as_array() - minus.as_array()
-
-
-def two_site_transform(d1: float, d2: float, a: float,
-                       minus: PeriodicState, plus: PeriodicState) -> TwoSiteSystem:
-    """Affine change of variables sending (minus, plus) to (0, 1) componentwise.
-
-    The transformed nonlinearities come from direct substitution and cubic
-    coefficient matching; the closed-form expression for the middle root
-    is evaluated separately and a discrepancy flag is raised on mismatch.
-    """
-    dx, dy = _differences("two_site_transform", 2, minus, plus)
-    if dx == 0.0 or dy == 0.0:
-        raise TransformError("component differences must be nonzero")
-    f = CubicNonlinearity(1.0, a)
-    xm, ym = minus.values
-    d_e = d1 * dy / dx
-    d_o = d1 * dx / dy
-
-    def f_e_raw(v):
-        return (f(xm + dx * v) - f(xm)) / dx - 2.0 * (d_e - d1) * v
-
-    def f_o_raw(w):
-        return (f(ym + dy * w) - f(ym)) / dy - 2.0 * (d_o - d1) * w
-
-    v = np.array([0.0, 1.0, 2.0, -1.0])
-    f_e = _match_cubic(v, f_e_raw(v))
-    f_o = _match_cubic(v, f_o_raw(v))
-
-    # closed-form candidate -f''(x-)/(x+ - x-) - 1 (see decisions ledger)
-    a_e_printed = -f.second_deriv(xm) / dx - 1.0
-    a_o_printed = -f.second_deriv(ym) / dy - 1.0
-    discrepancy = (abs(f_e.a - a_e_printed) > 1e-9) or (abs(f_o.a - a_o_printed) > 1e-9)
-
-    return TwoSiteSystem(d_e=float(d_e), d_o=float(d_o), d2=float(d2),
-                         f_e=f_e, f_o=f_o, minus=minus, plus=plus,
-                         a_e_formula_discrepancy=bool(discrepancy))
-
-
 def _four_site_rhs(u, d1, d2, f):
     """Period-4 equilibrium residual of one state (4,) or a stack (K, 4)."""
     w, x, y, z = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
@@ -404,48 +352,63 @@ def find_four_periodic_equilibria(d1: float, d2: float, a: float) -> list[Period
     ]
 
 
-def four_site_transform(d1: float, d2: float, a: float,
-                        minus: PeriodicState, plus: PeriodicState) -> FourSiteSystem:
-    """Build the 4x4 shift matrices, their reference/perturbation split, and
-    the transformed cubics for a period-4 connection.
+def _conjugated(model: LatticeModel, d: np.ndarray) -> dict[float, np.ndarray]:
+    """The model's blocks B_j by shift, each as diag(d)^-1 B_j diag(d) off its
+    diagonal and as B_j on it, which the conjugation leaves unchanged in exact
+    arithmetic."""
+    out = {}
+    for r, B in zip(*model.blocks()):
+        out[r] = B * d / d[:, None]
+        np.fill_diagonal(out[r], np.diagonal(B))
+    return out
 
-    With d = plus - minus, v = (u - minus) / d turns block B_j of the period-4
-    lattice into diag(d)^-1 B_j diag(d): A1, A2, A3 for the shifts -1, 0, 1.
-    The perturbation B2 is the w-x and x-y bonds of A2 in difference form."""
-    d = _differences("four_site_transform", 4, minus, plus)
+
+def periodic_transform(d1: float, d2: float, a: float, minus: PeriodicState,
+                       plus: PeriodicState, split) -> PeriodicSystem:
+    """The first/second neighbor lattice written with period P = minus.period,
+    in the variables v = (u - minus) / d, d = plus - minus, which send the
+    pair to the constant states 0 and 1 of a P-component lattice.
+
+    The bonds (n, k) in `split` make up the perturbation and the others the
+    reference.  Each part is folded by LatticeModel.blocks(), each block
+    conjugated by diag(d), and the zero-shift diagonal then closes the part's
+    row sums to zero.  What the closing takes out of the coupling goes into
+    the cubics: with C the summed lattice blocks and A the summed conjugated
+    ones, component i gets (f(x_i + d_i v) - f(x_i)) / d_i + s_i v, where s_i
+    is row i's off-diagonal sum of C minus that of A."""
+    P = minus.period
+    if plus.period != P:
+        raise TransformError("minus and plus must have the same period")
+    for st in (minus, plus):
+        if st.residual > _EQUILIBRIUM_TOL:
+            raise TransformError(
+                f"input state {st.values} has equilibrium defect {st.residual:.3e}")
+    x = minus.as_array()
+    d = plus.as_array() - x
     if np.any(d == 0.0):
-        raise TransformError("all four component differences must be nonzero")
+        raise TransformError("all component differences must be nonzero")
     f = CubicNonlinearity(1.0, a)
-    A1, A2, A3 = (B * d / d[:, None] for B in _neighbor_lattice(d1, d2, f, 4).blocks()[1])
+    lattice = _neighbor_lattice(d1, d2, f, P)
+    parts = []
+    for in_split in (False, True):
+        bonds = {b: w for b, w in lattice.couplings.items() if (b in split) == in_split}
+        blocks = _conjugated(replace(lattice, couplings=bonds), d)
+        zero = blocks.setdefault(0.0, np.zeros((P, P)))
+        np.fill_diagonal(zero, 0.0)
+        np.fill_diagonal(zero, -np.sum(np.sum(list(blocks.values()), axis=0), axis=1))
+        shifts = tuple(sorted(blocks))
+        parts.append((shifts, tuple(blocks[r] for r in shifts)))
 
-    # diagonal of A2 closes the row sums of A1 + A2 + A3 to zero
-    np.fill_diagonal(A2, 0.0)
-    np.fill_diagonal(A2, -np.sum(A1 + A2 + A3, axis=1))
-
-    # only the rows w, x, y hold a split bond; z's row of B2 stays zero
-    bonds = ([0, 1, 1, 2], [1, 0, 2, 1])
-    B2 = np.zeros((4, 4))
-    B2[bonds] = A2[bonds]
-    B2[[0, 1, 2], [0, 1, 2]] = -np.sum(B2[:3], axis=1)
-    A1_ref = A1.copy()
-    A3_ref = A3.copy()
-    A2_ref = A2 - B2
-
-    # nonlinearities by direct substitution: vary one transformed component,
-    # freeze the others at the minus state; linear coupling cancels by the
-    # row-sum-zero property, leaving a scalar cubic per component.
-    total = A1 + A2 + A3
-    cubics = []
-    vs = np.array([0.0, 1.0, 2.0, -1.0])
-    for i in range(4):
-        u = np.tile(minus.as_array(), (len(vs), 1))
-        u[:, i] += d[i] * vs
-        g = _four_site_rhs(u, d1, d2, f)[:, i] / d[i]
-        cubics.append(_match_cubic(vs, total[i, i] * vs - g))
-
-    return FourSiteSystem(A1=A1, A2=A2, A3=A3,
-                          A1_ref=A1_ref, A2_ref=A2_ref, A3_ref=A3_ref, B2=B2,
-                          cubics=tuple(cubics), minus=minus, plus=plus)
+    # the diagonals of C and A agree, so only off-diagonal entries add up to s
+    C = np.sum(lattice.blocks()[1], axis=0)
+    s = np.sum(C - np.sum(list(_conjugated(lattice, d).values()), axis=0), axis=1)
+    v = np.array([0.0, 1.0, 2.0, -1.0])
+    cubics = tuple(_match_cubic(v, (f(x[i] + d[i] * v) - f(x[i])) / d[i] + s[i] * v)
+                   for i in range(P))
+    (shifts, matrices), (pert_shifts, pert_matrices) = parts
+    return PeriodicSystem(shifts=shifts, matrices=matrices, pert_shifts=pert_shifts,
+                          pert_matrices=pert_matrices, cubics=cubics,
+                          minus=minus, plus=plus)
 
 
 def build_infinite_range(a: float, q: float, scale: float,

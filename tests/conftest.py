@@ -4,20 +4,17 @@ Everything here is deterministic; session scope only avoids re-running
 Newton solves that several test modules need.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from latticefronts import (
+    SPLIT_BONDS,
     build_infinite_range,
     find_four_periodic_equilibria,
     find_two_periodic_equilibria,
-    four_site_problem,
-    four_site_transform,
     infinite_range_problem,
-    two_site_transform,
-    two_site_problem,
+    periodic_problem,
+    periodic_transform,
     nagumo_problem,
     epsilon_scaled_problem,
     make_grid,
@@ -72,8 +69,7 @@ def two_site_system():
     x_plus = 0.5 * (1.0 + np.sqrt(1.8))
     minus = closest_state(states, (x_minus, x_plus))
     plus = closest_state(states, (x_plus, x_minus))
-    ts = two_site_transform(-0.05, 0.0, 0.5, minus, plus)
-    return dataclasses.replace(ts, d2=0.01)
+    return periodic_transform(-0.05, 0.01, 0.5, minus, plus, SPLIT_BONDS[2])
 
 
 @pytest.fixture(scope="session")
@@ -84,7 +80,7 @@ def two_site_front(two_site_system):
     the linearization is invertible (kernel_dim 0), so it exercises the
     pinned regime of the fixed-point scheme and of continuation.
     """
-    problem = two_site_problem(two_site_system)
+    problem = periodic_problem(two_site_system, 0.0)
     grid, sol = solve_front(problem, c0=0.0)
     return problem, grid, sol
 
@@ -97,8 +93,7 @@ def traveling_two_site_system():
     states = find_two_periodic_equilibria(1.0, 0.3)
     minus = closest_state(states, (0.0, 0.0))
     plus = closest_state(states, (1.0, 1.0))
-    return dataclasses.replace(two_site_transform(1.0, 0.0, 0.3, minus, plus),
-                               d2=-0.1)
+    return periodic_transform(1.0, -0.1, 0.3, minus, plus, SPLIT_BONDS[2])
 
 
 @pytest.fixture(scope="session")
@@ -116,13 +111,14 @@ def traveling_two_site_front(traveling_two_site_system):
     The fixture uses d1 > 0 because no d1 < 0 connection is known to be a
     true traveling wave.  Swapped pairs are pinned (see `two_site_system`).
     At grid spacing 1, a scan of d1 in [-0.3, -0.02], a in [0.1, 0.5] and
-    every ordered pair of stable 2-periodic states with d_e, d_o > 0 found
+    every ordered pair of stable 2-periodic states whose first-neighbor
+    weights A_-1[0, 1] and A_+1[1, 0] are positive found
     no connection with kernel_dim 1.  The nonzero speeds of non-swapped
     pairs move with the grid spacing: (0,0) -> (1.171, -0.171) at
     d1 = -0.05, a = 0.5 gives c = 0.134 at h = 1 and c = -0.016 at
     h = 0.5.  Those speeds are discretization artifacts, not waves.
     """
-    problem = two_site_problem(traveling_two_site_system)
+    problem = periodic_problem(traveling_two_site_system, 0.0)
     grid, sol = solve_front(problem, c0=0.1)
     return problem, grid, sol
 
@@ -132,9 +128,9 @@ def four_site_front():
     """Criterion-11 system (d1 = 0 decouples the sublattices): two
     translation modes, kernel_dim 2."""
     states = find_four_periodic_equilibria(0.0, 1.0, 0.3)
-    fs = four_site_transform(0.0, 1.0, 0.3, closest_state(states, (0.0,) * 4),
-                             closest_state(states, (1.0,) * 4))
-    problem = four_site_problem(fs)
+    fs = periodic_transform(0.0, 1.0, 0.3, closest_state(states, (0.0,) * 4),
+                            closest_state(states, (1.0,) * 4), SPLIT_BONDS[4])
+    problem = periodic_problem(fs, 0.0)
     grid, sol = solve_front(problem, c0=0.15)
     return problem, grid, sol
 

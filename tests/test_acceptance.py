@@ -36,7 +36,6 @@ from latticefronts.bvp import (
     make_grid,
     newton_solve,
     trapezoid_weights,
-    two_site_problem,
 )
 from latticefronts.cli import run as cli_run
 from latticefronts.continuation import continue_in_epsilon
@@ -49,10 +48,11 @@ from latticefronts.fixedpoint import (
 )
 from latticefronts.mfde import characteristic_matrix, two_site_operator, upsilon_two_site
 from latticefronts.model import (
+    SPLIT_BONDS,
     build_infinite_range,
     build_nagumo,
     find_two_periodic_equilibria,
-    two_site_transform,
+    periodic_transform,
 )
 from latticefronts.sim import (
     check_monotonicity,
@@ -357,12 +357,14 @@ def test_criterion_07_equilibria_and_transform():
     plus = pick((x_plus, x_minus))
     eq_err = max(np.max(np.abs(minus.as_array() - (x_minus, x_plus))),
                  np.max(np.abs(plus.as_array() - (x_plus, x_minus))))
-    ts = two_site_transform(-0.05, 0.0, 0.5, minus, plus)
-    prod_err = abs(ts.d_e * ts.d_o - 0.05 ** 2)
-    root_err = max(abs(ts.f_e(0.0)), abs(ts.f_e(1.0)))
+    ts = periodic_transform(-0.05, 0.0, 0.5, minus, plus, SPLIT_BONDS[2])
+    # the first-neighbor weights of the even and odd rows, d_e and d_o
+    A_left, _, A_right = ts.matrices
+    prod_err = abs(A_left[0, 1] * A_right[1, 0] - 0.05 ** 2)
+    root_err = max(abs(ts.cubics[0](0.0)), abs(ts.cubics[0](1.0)))
     ok = eq_err <= 1e-10 and prod_err <= 1e-12 and root_err <= 1e-12
     report(7, ok, f"equilibria vs (1+-sqrt(1.8))/2: {eq_err:.2e} (<= 1e-10); "
-                  f"|d_e d_o - d1^2| = {prod_err:.2e}; f_e root defect = "
+                  f"|A_-1[0,1] A_+1[1,0] - d1^2| = {prod_err:.2e}; f_e root defect = "
                   f"{root_err:.2e} (<= 1e-12)")
 
 

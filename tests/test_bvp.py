@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from latticefronts import find_two_periodic_equilibria, two_site_transform
+from latticefronts import SPLIT_BONDS, find_two_periodic_equilibria, periodic_transform
 from latticefronts.bvp import (
     DomainTooSmallError,
     IncommensurableShiftError,
@@ -27,9 +27,9 @@ from latticefronts.bvp import (
     make_grid,
     nagumo_problem,
     newton_solve,
+    periodic_problem,
     shifted_profile,
     trapezoid_weights,
-    two_site_problem,
     _deriv_matrix,
     inner,
 )
@@ -174,9 +174,8 @@ def test_swapped_pair_wave_is_pinned_off_balance(c0):
     minus = min(states, key=lambda st: st.values[0])
     plus = max(states, key=lambda st: st.values[0])
     assert plus.values == pytest.approx(minus.values[::-1], abs=1e-12)
-    system = dataclasses.replace(
-        two_site_transform(-0.05, 0.0, 0.3, minus, plus), d2=0.01)
-    problem = two_site_problem(system)
+    system = periodic_transform(-0.05, 0.01, 0.3, minus, plus, SPLIT_BONDS[2])
+    problem = periodic_problem(system, 0.0)
     grid = make_grid(40.0, 1.0, problem.all_shifts)
     guess = initial_guess(grid, components=problem.dimension)
     sol = newton_solve(problem, grid, guess, c0)

@@ -187,8 +187,12 @@ def test_transform4_command(tmp_path, capsys):
     cfg = {"model": {"kind": "four_site", "d1": 0.0, "d2": 1.0, "a": 0.3}}
     assert run("transform4", cfg, tmp_path) == 0
     payload = json.loads((tmp_path / "model.json").read_text())
-    for key in ("A1", "A2", "A3", "A1_ref", "A2_ref", "A3_ref", "B2"):
-        assert np.shape(payload[key]) == (4, 4)
+    # A1, A2, A3 with their reference parts, and the perturbation B2
+    for part, shifts in ((payload, [-1.0, 0.0, 1.0]),
+                         (payload["reference"], [-1.0, 0.0, 1.0]),
+                         (payload["perturbation"], [0.0])):
+        assert part["shifts"] == shifts
+        assert np.shape(part["matrices"]) == (len(shifts), 4, 4)
     assert len(payload["cubics"]) == 4
     # the default pair is 0^4 -> 1^4, found exactly
     ends = payload["provenance"]
@@ -272,7 +276,9 @@ def test_transform2_command(tmp_path, capsys):
     cfg = {"model": {"kind": "two_site", "d1": -0.05, "a": 0.5}}
     assert run("transform2", cfg, tmp_path) == 0
     payload = json.loads((tmp_path / "model.json").read_text())
-    assert abs(payload["d_e"] * payload["d_o"] - 0.05**2) <= 1e-12
+    # d_e and d_o, the first-neighbor weights A_-1[0, 1] and A_+1[1, 0]
+    A_left, _, A_right = payload["reference"]["matrices"]
+    assert abs(A_left[0][1] * A_right[1][0] - 0.05**2) <= 1e-12
 
 
 @pytest.mark.parametrize("model, violation", [
@@ -374,13 +380,14 @@ def test_nonpositive_tolerance_exits_4(tmp_path, capsys, command, cfg, violation
 @pytest.mark.parametrize("sim, field", [
     ({"M": 400.5}, "sim.M"), ({"stride": 2.5}, "sim.stride"),
     ({"M": True}, "sim.M"), ({"T": 0.001}, "sim.T"),
-    ({"M": 60, "dt": 5e-324}, "sim.dt")],
+    ({"M": 60, "dt": 5e-324}, "sim.dt"), ({"dt": 1e-9}, "sim.dt")],
     ids=["M-fraction", "stride-fraction", "M-bool", "T-below-half-step",
-         "dt-subnormal"])
+         "dt-subnormal", "dt-snapshots-too-many"])
 def test_simulate_config_errors_exit_4(tmp_path, capsys, sim, field):
     """M and stride are whole numbers, and T spans at least one and a
-    finite number of RK4 steps (1 <= round(T / dt) < inf); otherwise
-    validate names the field."""
+    finite number of RK4 steps (1 <= round(T / dt) < inf) whose snapshots
+    fit the snapshot bound; otherwise validate names the field before any
+    step runs."""
     cfg = {"model": {"kind": "nagumo"}, "sim": sim}
     assert run("simulate", cfg, tmp_path) == 4
     err = json.loads(capsys.readouterr().err.strip())
@@ -388,6 +395,22 @@ def test_simulate_config_errors_exit_4(tmp_path, capsys, sim, field):
     assert len(err["violations"]) == 1
     assert err["violations"][0].startswith(f"{field} = ")
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("T, ok", [(999_998.0, True), (999_999.0, False),
+                                   (1_000_000.0, False)])
+def test_snapshot_bound_counts_every_snapshot(T, ok):
+    """A run of round(T / dt) steps keeps the initial state, every stride-th
+    step and the last step: with stride 2 and 100 sites, 999_998 steps keep
+    500_000 snapshots, at the bound, and an odd last step one more."""
+    from latticefronts.cli import _MAX_SNAPSHOT_VALUES
+    assert _MAX_SNAPSHOT_VALUES == 50_000_000
+    cfg = {"model": {"kind": "nagumo"}, "sim": {"M": 100, "stride": 2, "dt": 1.0, "T": T}}
+    if ok:
+        validate(cfg, "simulate")
+    else:
+        with pytest.raises(ConfigError, match="^sim.dt = 1.0 makes 50000100 snapshot"):
+            validate(cfg, "simulate")
 
 
 def test_main_bad_override_exits_4(tmp_path, capsys):

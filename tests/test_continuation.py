@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from latticefronts.bvp import (initial_guess, make_grid, nagumo_problem,
-                               newton_solve, two_site_problem)
+                               newton_solve, periodic_problem)
 from latticefronts.continuation import (
     BranchStep,
     ContinuationBranch,
@@ -14,6 +14,7 @@ from latticefronts.continuation import (
     continue_in_epsilon,
     continue_in_parameter,
 )
+from latticefronts.model import SPLIT_BONDS, periodic_transform
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +63,9 @@ def test_branch_stops_on_step_underflow(two_site_system, two_site_front):
     # fallen to 1.2e-3 of s_max = 1.17 by eps = 0.785.  Newton fails at
     # the fold and the step collapses
     _, grid, sol = two_site_front
-    strong = dataclasses.replace(two_site_system, d2=0.05)
-    problem = two_site_problem(strong)
+    strong = periodic_transform(-0.05, 0.05, 0.5, two_site_system.minus,
+                                two_site_system.plus, SPLIT_BONDS[2])
+    problem = periodic_problem(strong, 0.0)
     opts = ContinuationOptions(step0=0.2, step_min=0.05, max_iter=15)
     branch = continue_in_epsilon(problem, grid, sol, 1.0, opts)
     assert branch.stop_reason == "step_underflow"
@@ -75,7 +77,7 @@ def test_branch_stops_on_step_underflow(two_site_system, two_site_front):
 
 def test_branch_stops_on_pinning_when_asked(two_site_system, two_site_front):
     _, grid, sol = two_site_front
-    problem = two_site_problem(two_site_system)
+    problem = periodic_problem(two_site_system, 0.0)
     opts = ContinuationOptions(stop_on_pinning=True)
     branch = continue_in_epsilon(problem, grid, sol, 0.2, opts)
     assert branch.stop_reason == "pinning_suspected"

@@ -1,7 +1,6 @@
 """Characteristic matrices and asymptotic hyperbolicity checks."""
 
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticefronts import build_infinite_range, infinite_range_problem, two_site_problem
+from latticefronts import (SPLIT_BONDS, CubicNonlinearity, PeriodicState, build_infinite_range,
+                           infinite_range_problem, periodic_problem, periodic_transform)
 from latticefronts import mfde
 from latticefronts.mfde import (
     MFDEOperator,
@@ -431,18 +431,32 @@ def test_report_scans_each_end_once(monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.booleans(), st.floats(0.01, 2.0), st.floats(0.01, 2.0),
-       st.floats(-1.0, 1.0), st.floats(0.0, 1.0), st.floats(-2.0, 2.0))
-def test_two_site_problem_and_operator_share_matrices(
-        traveling_two_site_system, two_site_system, swapped, d_e, d_o, d2, eps, c):
-    """bvp.two_site_problem and mfde.two_site_operator write out the same
-    shift matrices: the limit operators agree entry for entry."""
-    system = dataclasses.replace(
-        two_site_system if swapped else traveling_two_site_system,
-        d_e=d_e, d_o=d_o, d2=d2)
-    got = two_site_problem(system, eps).operator(c)
-    f_e, f_o = system.f_e, system.f_o
-    want = two_site_operator(d_e, d_o, d2, eps, (f_e.deriv(0.0), f_o.deriv(0.0)),
+@given(st.booleans(), st.floats(0.01, 2.0), st.floats(-1.0, 1.0), st.floats(0.0, 1.0),
+       st.floats(-2.0, 2.0))
+def test_two_site_problem_and_operator_share_matrices(swapped, w, d2, eps, c):
+    """bvp.periodic_problem of a period-2 transform and mfde.two_site_operator
+    write out the same shift matrices: the limit operators agree entry for
+    entry.  The pairs are those of the two fixtures, at a drawn first-neighbor
+    weight: the swapped pair x+- = (1 +- sqrt(1 - 16 d1)) / 2 of the a = 0.5
+    lattice at d1 = -w, and (0, 0) -> (1, 1) of the a = 0.3 lattice at d1 = w."""
+    if swapped:
+        d1, a = -w, 0.5
+        root = math.sqrt(1.0 - 16.0 * d1)
+        x_minus, x_plus = 0.5 * (1.0 - root), 0.5 * (1.0 + root)
+        ends = ((x_minus, x_plus), (x_plus, x_minus))
+    else:
+        d1, a = w, 0.3
+        ends = ((0.0, 0.0), (1.0, 1.0))
+    f = CubicNonlinearity(1.0, a)
+    minus, plus = (PeriodicState(2, (x, y), max(abs(2.0 * d1 * (y - x) - f(x)),
+                                               abs(2.0 * d1 * (x - y) - f(y))))
+                   for x, y in ends)
+    system = periodic_transform(d1, d2, a, minus, plus, SPLIT_BONDS[2])
+    got = periodic_problem(system, eps).operator(c)
+    dx, dy = plus.as_array() - minus.as_array()
+    f_e, f_o = system.cubics
+    want = two_site_operator(d1 * dy / dx, d1 * dx / dy, d2, eps,
+                             (f_e.deriv(0.0), f_o.deriv(0.0)),
                              (f_e.deriv(1.0), f_o.deriv(1.0)), c)
     assert got.shifts == want.shifts and got.c == want.c
     for A, B in zip(got.matrices, want.matrices):

@@ -6,23 +6,25 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticefronts.bvp import four_site_problem
+from latticefronts.bvp import periodic_problem
 from latticefronts.model import (
+    SPLIT_BONDS,
     CubicNonlinearity,
     DecoupledLatticeError,
     LatticeModel,
+    PeriodicState,
     TransformError,
     _refine_roots,
     build_infinite_range,
     build_nagumo,
     find_four_periodic_equilibria,
     find_two_periodic_equilibria,
-    four_site_transform,
+    periodic_transform,
     tail_sum,
-    two_site_transform,
 )
 
 X_MINUS = 0.5 * (1.0 - math.sqrt(1.8))
@@ -159,7 +161,7 @@ def test_two_periodic_residual_property(d1, a):
 
 
 # --------------------------------------------------------------------------
-# two-site transform
+# period-2 transform
 
 @pytest.fixture(scope="module")
 def swapped_pair():
@@ -172,34 +174,45 @@ def swapped_pair():
     return pick((X_MINUS, X_PLUS)), pick((X_PLUS, X_MINUS))
 
 
+def _two_site_weights(system):
+    """The first-neighbor weights d_e = A_-1[0, 1] and d_o = A_+1[1, 0]."""
+    A_left, _, A_right = system.matrices
+    return A_left[0, 1], A_right[1, 0]
+
+
 def test_transform_diffusion_product(swapped_pair):
     minus, plus = swapped_pair
-    ts = two_site_transform(-0.05, 0.0, 0.5, minus, plus)
-    assert abs(ts.d_e * ts.d_o - 0.05**2) <= 1e-12
+    ts = periodic_transform(-0.05, 0.0, 0.5, minus, plus, SPLIT_BONDS[2])
+    d_e, d_o = _two_site_weights(ts)
+    assert abs(d_e * d_o - 0.05**2) <= 1e-12
     # swapped pair: y_+ - y_- = -(x_+ - x_-), so both weights equal -d1
-    assert abs(ts.d_e - 0.05) <= 1e-12
-    assert abs(ts.d_o - 0.05) <= 1e-12
+    assert abs(d_e - 0.05) <= 1e-12
+    assert abs(d_o - 0.05) <= 1e-12
 
 
 def test_transform_nonlinearities_are_bistable(swapped_pair):
     minus, plus = swapped_pair
-    ts = two_site_transform(-0.05, 0.0, 0.5, minus, plus)
-    for f in (ts.f_e, ts.f_o):
+    ts = periodic_transform(-0.05, 0.0, 0.5, minus, plus, SPLIT_BONDS[2])
+    f_e, f_o = ts.cubics
+    for f in (f_e, f_o):
         assert f(0.0) == 0.0
         assert f(1.0) == 0.0
         assert 0.0 < f.a < 1.0
         assert f.k > 0.0
     # this fixture is symmetric under the even/odd swap
-    assert abs(ts.f_e.k - ts.f_o.k) <= 1e-12
-    assert abs(ts.f_e.a - ts.f_o.a) <= 1e-12
+    assert abs(f_e.k - f_o.k) <= 1e-12
+    assert abs(f_e.a - f_o.a) <= 1e-12
 
 
 def test_transform_middle_root_formula_flag(swapped_pair):
-    # the closed-form middle-root shortcut disagrees with the direct
-    # substitution on this fixture and the transform records that
+    # the closed-form middle-root shortcut -f''(x-)/(x+ - x-) - 1 disagrees
+    # with the direct substitution on this fixture
     minus, plus = swapped_pair
-    ts = two_site_transform(-0.05, 0.0, 0.5, minus, plus)
-    assert ts.a_e_formula_discrepancy
+    ts = periodic_transform(-0.05, 0.0, 0.5, minus, plus, SPLIT_BONDS[2])
+    f = CubicNonlinearity(1.0, 0.5)
+    d = plus.as_array() - minus.as_array()
+    printed = -f.second_deriv(minus.as_array()) / d - 1.0
+    assert max(abs(g.a - p) for g, p in zip(ts.cubics, printed)) > 1e-9
 
 
 def test_transform_rejects_non_equilibria():
@@ -207,7 +220,7 @@ def test_transform_rejects_non_equilibria():
     bogus = states[0].__class__(period=2, values=(0.123, 0.456), residual=1.0)
     good = max(states, key=lambda s: max(s.values) - min(s.values))
     with pytest.raises(TransformError):
-        two_site_transform(-0.05, 0.0, 0.5, bogus, good)
+        periodic_transform(-0.05, 0.0, 0.5, bogus, good, SPLIT_BONDS[2])
 
 
 # --------------------------------------------------------------------------
@@ -278,6 +291,11 @@ def test_four_periodic_sweep_matches_per_seed_loop(d1, d2, a):
     assert [st.values for st in states] == reference_four_periodic_sweep(d1, d2, a)
 
 
+def _summed_coupling(system):
+    """The eps = 1 coupling of a transformed system, summed over its shifts."""
+    return np.sum(periodic_problem(system, 1.0).effective_coupling()[1], axis=0)
+
+
 def test_four_site_transform_decoupled_chains():
     # d1 = 0 splits the lattice into two interleaved distance-2 chains;
     # the transform must reflect that in an exactly block-decoupled system
@@ -287,8 +305,9 @@ def test_four_site_transform_decoupled_chains():
         return min(states, key=lambda s: np.max(np.abs(s.as_array()
                                                        - np.asarray(target))))
 
-    fs = four_site_transform(0.0, 1.0, 0.3, pick((0.0,) * 4), pick((1.0,) * 4))
-    full = fs.A1 + fs.A2 + fs.A3
+    fs = periodic_transform(0.0, 1.0, 0.3, pick((0.0,) * 4), pick((1.0,) * 4),
+                            SPLIT_BONDS[4])
+    full = _summed_coupling(fs)
     even, odd = [0, 2], [1, 3]
     assert np.max(np.abs(full[np.ix_(even, odd)])) == 0.0
     assert np.max(np.abs(full[np.ix_(odd, even)])) == 0.0
@@ -301,8 +320,9 @@ def test_four_site_coupling_rows_sum_to_zero():
         return min(states, key=lambda s: np.max(np.abs(s.as_array()
                                                        - np.asarray(target))))
 
-    fs = four_site_transform(-0.05, 0.01, 0.5, pick((0.0,) * 4), pick((1.0,) * 4))
-    rows = (fs.A1 + fs.A2 + fs.A3).sum(axis=1)
+    fs = periodic_transform(-0.05, 0.01, 0.5, pick((0.0,) * 4), pick((1.0,) * 4),
+                            SPLIT_BONDS[4])
+    rows = _summed_coupling(fs).sum(axis=1)
     assert np.max(np.abs(rows)) <= 1e-12
 
 
@@ -310,26 +330,33 @@ def test_four_site_coupling_rows_sum_to_zero():
 FOUR_SITE_CASES = [(-0.05, 0.01, 0.5), (0.3, -0.1, 0.45), (1.0, 0.2, 0.3)]
 
 
-@functools.lru_cache(maxsize=None)
-def _four_site_systems(d1, d2, a):
-    """The four-site system of every ordered pair of period-4 equilibria
-    that has one (all components differ and the cubics match)."""
-    states = find_four_periodic_equilibria(d1, d2, a)
+def _transforms(d1, d2, a, states, split):
+    """The transform of every ordered pair of the states that has one (all
+    components differ and the cubics match).  A pair whose components all
+    move by more than 0.1 must have one: only a smaller move lets the states'
+    defects, divided by it, keep a cubic from vanishing at 1."""
     systems = []
     for minus in states:
         for plus in states:
             try:
-                systems.append(four_site_transform(d1, d2, a, minus, plus))
+                systems.append(periodic_transform(d1, d2, a, minus, plus, split))
             except TransformError:
-                pass
+                if np.min(np.abs(plus.as_array() - minus.as_array())) > 0.1:
+                    raise
     return systems
+
+
+@functools.lru_cache(maxsize=None)
+def _four_site_systems(d1, d2, a):
+    return _transforms(d1, d2, a, find_four_periodic_equilibria(d1, d2, a), SPLIT_BONDS[4])
 
 
 @pytest.mark.parametrize("d1, d2, a", FOUR_SITE_CASES)
 def test_four_site_split_leaves_exact_zeros_on_the_split_bonds(d1, d2, a):
     """B2 carries A2's w-x and x-y bonds whole, so the reference A2_ref
     has exact zeros there, and B2 has nothing off those bonds and the
-    diagonal of the rows w, x, y."""
+    diagonal of the rows w, x, y.  A2 is the zero-shift matrix of the
+    unsplit transform."""
     bonds = ([0, 1, 1, 2], [1, 0, 2, 1])
     off = np.ones((4, 4), bool)
     off[bonds] = False
@@ -337,29 +364,70 @@ def test_four_site_split_leaves_exact_zeros_on_the_split_bonds(d1, d2, a):
     systems = _four_site_systems(d1, d2, a)
     assert systems
     for fs in systems:
-        assert np.all(fs.A2_ref[bonds] == 0.0)
-        assert np.all(fs.B2[bonds] == fs.A2[bonds])
-        assert np.all(fs.B2[off] == 0.0)
-        assert np.max(np.abs((fs.A2_ref + fs.B2) - fs.A2)) <= 1e-14 * np.max(np.abs(fs.A2))
+        A2_ref, (B2,) = fs.matrices[1], fs.pert_matrices
+        unsplit = periodic_transform(d1, d2, a, fs.minus, fs.plus, frozenset())
+        assert unsplit.shifts == fs.shifts
+        A2 = unsplit.matrices[1]
+        assert np.all(A2_ref[bonds] == 0.0)
+        assert np.all(B2[bonds] == A2[bonds])
+        assert np.all(B2[off] == 0.0)
+        assert np.max(np.abs((A2_ref + B2) - A2)) <= 1e-14 * np.max(np.abs(A2))
 
 
-def _period_four_rhs(u, d1, d2, f):
+def _periodic_rhs(u, d1, d2, f):
     """du_n/dt of the first/second neighbor lattice, u periodic."""
     lap1 = np.roll(u, 1) - 2.0 * u + np.roll(u, -1)
     lap2 = np.roll(u, 2) - 2.0 * u + np.roll(u, -2)
     return d1 * lap1 + d2 * lap2 - f(u)
 
 
+def _period_three_states(d1, d2, a):
+    """Equilibria of the period-3 lattice, polished by scipy.optimize.root from
+    the 27 states of {0, a, 1}^3, the uncoupled lattice's equilibria."""
+    f = CubicNonlinearity(1.0, a)
+    states = {}
+    for seed in np.array(np.meshgrid(*[(0.0, a, 1.0)] * 3)).reshape(3, -1).T:
+        sol = scipy.optimize.root(_periodic_rhs, seed, args=(d1, d2, f), tol=1e-14)
+        defect = float(np.max(np.abs(_periodic_rhs(sol.x, d1, d2, f))))
+        if sol.success and defect <= 1e-12:
+            states.setdefault(tuple(np.round(sol.x, 8)), PeriodicState(3, tuple(sol.x), defect))
+    return list(states.values())
+
+
+def _periodic_systems(P, d1, d2, a):
+    """Period-P transforms: the four-site systems for P = 4, the period-2
+    ones for P = 2, the period-2 states tiled three times with their second
+    neighbors split off for P = 6, and the period-3 states without a split
+    for P = 3."""
+    if P == 4:
+        return _four_site_systems(d1, d2, a)
+    if P == 3:
+        return _transforms(d1, d2, a, _period_three_states(d1, d2, a), frozenset())
+    pairs = find_two_periodic_equilibria(d1, a)
+    if P == 6:
+        pairs = [PeriodicState(6, st.values * 3, st.residual) for st in pairs]
+    split = frozenset((n, k) for n in range(P) for k in (-2, 2))
+    return _transforms(d1, d2, a, pairs, split)
+
+
+# (P, d1, d2, a): the four-site cases and competing and cooperative couplings
+# at the periods 2, 3 and 6
+PERIODIC_CASES = ([(4, *case) for case in FOUR_SITE_CASES]
+                  + [(2, -0.05, 0.01, 0.5), (2, 1.0, -0.1, 0.3), (3, -0.05, 0.01, 0.4),
+                     (3, 0.3, -0.1, 0.45), (6, -0.05, 0.01, 0.5), (6, 0.3, 0.2, 0.3)])
+
+
 @functools.lru_cache(maxsize=None)
-def _four_site_stacks(d1, d2, a):
-    """x_-, d = x_+ - x_-, the eps = 1 couplings of the shifts -1, 0, 1
-    (A1, A2_ref + B2, A3) and the cubics' k and a of every system, stacked."""
-    systems = _four_site_systems(d1, d2, a)
+def _periodic_stacks(P, d1, d2, a):
+    """x_-, d = x_+ - x_-, the eps = 1 couplings of the shifts -1, 0, 1 and
+    the cubics' k and a of every system, stacked."""
+    systems = _periodic_systems(P, d1, d2, a)
+    assert systems
     minus = np.array([fs.minus.as_array() for fs in systems])
     d = np.array([fs.plus.as_array() for fs in systems]) - minus
     mats = []
     for fs in systems:
-        shifts, merged = four_site_problem(fs, eps=1.0).effective_coupling()
+        shifts, merged = periodic_problem(fs, 1.0).effective_coupling()
         assert shifts == (-1.0, 0.0, 1.0)
         mats.append(merged)
     ks = np.array([[g.k for g in fs.cubics] for fs in systems])
@@ -368,18 +436,19 @@ def _four_site_stacks(d1, d2, a):
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=st.sampled_from(FOUR_SITE_CASES),
+@given(case=st.sampled_from(PERIODIC_CASES),
        v=st.lists(st.floats(-1.5, 2.5), min_size=12, max_size=12))
 def test_four_site_change_of_variables_commutes_with_the_lattice(case, v):
-    """u = x_- + d o v on three periods: the lattice's right-hand side at u
-    is d o (the four-site system's right-hand side at v), for every system
-    of the case, with the eps = 1 coupling and the transformed cubics.
-    Checks the matrices, the split and the cubics without their formulas."""
-    d1, d2, a = case
-    minus, d, mats, cubics = _four_site_stacks(*case)
-    V = np.reshape(v, (3, 4))
-    u = minus[:, None, :] + d[:, None, :] * V                        # (S, 3, 4)
-    lattice = np.array([_period_four_rhs(w.ravel(), d1, d2, CubicNonlinearity(1.0, a))
+    """u = x_- + d o v on 12 sites, whole periods of P in {2, 3, 4, 6}: the
+    lattice's right-hand side at u is d o (the transformed system's
+    right-hand side at v), for every system of the case, with the eps = 1
+    coupling and the transformed cubics.  Checks the matrices, the split and
+    the cubics without their formulas."""
+    P, d1, d2, a = case
+    minus, d, mats, cubics = _periodic_stacks(*case)
+    V = np.reshape(v, (12 // P, P))
+    u = minus[:, None, :] + d[:, None, :] * V                        # (S, 12/P, P)
+    lattice = np.array([_periodic_rhs(w.ravel(), d1, d2, CubicNonlinearity(1.0, a))
                         for w in u]).reshape(u.shape)
     shifted = np.array([np.roll(V, -r, axis=0) for r in (-1, 0, 1)])  # V_{m + r}
     system = np.einsum("srij,rmj->smi", mats, shifted) - cubics(V)
