@@ -280,10 +280,12 @@ def cmd_equilibria(cfg, out, h):
     m = cfg["model"]
     states = _equilibria(m, m["period"])
     write_json(out / "equilibria.json", {
-        "period": m["period"],
-        "states": [{"values": list(st.values), "residual": st.residual}
-                   for st in states]}, h)
-    print(f"found {len(states)} periodic equilibria")
+        "period": m["period"], "paths_tracked": states.paths_tracked,
+        "paths_lost": states.paths_lost,
+        "states": [{"values": list(st.values), "residual": st.residual,
+                    "degenerate": st.degenerate} for st in states]}, h)
+    print(f"found {len(states)} periodic equilibria; "
+          f"{states.paths_lost} of {states.paths_tracked} paths lost")
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ connecting the constant states 0 and 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -22,8 +23,8 @@ __all__ = [
     "LatticeModel",
     "PeriodicState",
     "PeriodicSystem",
+    "Equilibria",
     "InfiniteRangeModel",
-    "DecoupledLatticeError",
     "TransformError",
     "SPLIT_BONDS",
     "build_nagumo",
@@ -33,13 +34,16 @@ __all__ = [
     "build_infinite_range",
 ]
 
-_TWO_SITE_SCAN = (-2.0, 3.0)     # x-interval of the period-2 scan
-_TWO_SITE_SCAN_POINTS = 10_000
-_FOUR_SITE_SEEDS = (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5)  # per axis of the seed grid
-_FOUR_SITE_NEWTON_ITERS = 50
+_GAMMA = 0.6129 + 0.7902j        # the homotopy's generic complex constant
+_TRACK_TOL = 1e-6                # last corrector step of an accepted step, relative
+_STEP_MIN = 1e-11                # a path whose step in t falls below this stalls
+_ENDGAME_T = 0.99                # paths past this t are finished by Newton at t = 1
+_NEWTON_ITERS = 50               # most Newton steps at t = 1
+_ENDPOINT_TOL = 1e-8             # largest defect of a real endpoint, over (1 + |u|)^3
+_SAME_STATE = 1e-4               # relative distance of one state's endpoints and
+                                 # largest relative imaginary part of a real one
 _ROOT_LEVELS = 5                 # bisection steps per round of a root refinement
 _ROOT_ROUNDS = 40                # most rounds of a root refinement (200 steps)
-_EQUILIBRIUM_TOL = 1e-9          # largest input defect the transform accepts
 _CUBIC_MATCH_TOL = 1e-12         # largest relative f(0), f(1) of a matched cubic
 
 # the bonds (n, k) that periodic_transform moves to the perturbation: the
@@ -49,10 +53,6 @@ SPLIT_BONDS = {
     2: frozenset((n, k) for n in range(2) for k in (-2, 2)),
     4: frozenset({(0, 1), (1, -1), (1, 1), (2, -1)}),
 }
-
-
-class DecoupledLatticeError(ValueError):
-    """Raised when a formula divides by a vanishing coupling constant."""
 
 
 class TransformError(ValueError):
@@ -120,9 +120,13 @@ class LatticeModel:
 
 @dataclass(frozen=True)
 class PeriodicState:
+    """A period-P equilibrium: its values on one period, its defect and
+    whether it is degenerate (its Jacobian is singular)."""
+
     period: int
     values: tuple[float, ...]
     residual: float
+    degenerate: bool
 
     def __post_init__(self):
         if len(self.values) != self.period:
@@ -145,6 +149,17 @@ class PeriodicSystem:
     cubics: tuple[CubicNonlinearity, ...]
     minus: PeriodicState
     plus: PeriodicState
+
+
+class Equilibria(list):
+    """The PeriodicStates a search lists, with the number of homotopy paths
+    it followed and the number it lost (stalled before t = _ENDGAME_T or
+    diverged), whose states the list may miss."""
+
+    def __init__(self, states, paths_tracked: int, paths_lost: int):
+        super().__init__(states)
+        self.paths_tracked = paths_tracked
+        self.paths_lost = paths_lost
 
 
 @dataclass(frozen=True)
@@ -216,56 +231,125 @@ def _refine_roots(g, lo, hi, tol: float) -> np.ndarray:
     return np.array([0.5 * (a + b) if r is None else r for r, (a, b) in zip(roots, brackets)])
 
 
-def _clusters(exact, points, tol):
-    """One row per cluster of the rows of exact and points: in lexicographic
-    order, a row farther than tol (max norm) from each cluster's first row
-    starts a cluster.  An exact row, else the first, represents its cluster."""
-    rows = np.unique(np.concatenate([exact, points]), axis=0)
-    exact = set(exact)
-    first, out, m = np.empty_like(rows), np.empty_like(rows), 0
-    for v in rows:
-        near = np.flatnonzero(np.max(np.abs(first[:m] - v), axis=1) <= tol)
-        if len(near) == 0:
-            first[m] = out[m] = v
-            m += 1
-        elif tuple(v) in exact:
-            out[near[0]] = v
-    return out[:m]
+def _defects(C: np.ndarray, f: CubicNonlinearity, u: np.ndarray) -> np.ndarray:
+    """sum_j C_ij (u_j - u_i) - f(u_i), the equilibrium defect of each row u
+    of a stack; in difference form, so exactly zero at homogeneous states."""
+    return np.einsum("ij,kij->ki", C, u[:, None, :] - u[:, :, None]) - f(u)
 
 
-def find_two_periodic_equilibria(d1: float, a: float) -> list[PeriodicState]:
-    """Period-2 equilibria (x, y) with y on the branch y = x + f_a(x)/(2 d1).
+def _clusters(exact, points, weights, tol):
+    """The rows of exact and points grouped by chains of rows within
+    tol * (1 + max|row|) of each other (max norm), which a shift of the
+    components carries along.  Returns one row per group, an exact row if
+    the group has one and else the mean of its rows, and the summed weights
+    of each group's points.  The groups are in the lexicographic order of
+    their rows rounded to 9 decimals, so rounding does not order two states
+    whose leading values agree."""
+    rows = np.concatenate([exact, points])
+    size = 1.0 + np.max(np.abs(rows), axis=1)
+    chain = 1.0 * (np.max(np.abs(rows[:, None] - rows[None]), axis=2)
+                   <= tol * np.maximum.outer(size, size))
+    for _ in range(len(rows).bit_length()):
+        chain = 1.0 * (chain @ chain > 0.0)
+    first = np.unique(np.argmax(chain, axis=1))
+    reps = np.where((first < len(exact))[:, None], rows[first],
+                    chain[first] @ rows / np.sum(chain[first], axis=1)[:, None])
+    order = np.lexsort(np.round(reps, 9).T[::-1])
+    return reps[order], (chain[first] @ np.concatenate([np.zeros(len(exact)), weights]))[order]
 
-    Scans g(x) = f_a(x) + f_a(x + f_a(x)/(2 d1)) for sign changes on
-    _TWO_SITE_SCAN and refines the roots.  The homogeneous states (0,0), (a,a),
-    (1,1) are always included, exactly, in place of nearby round-off roots.
+
+def _periodic_equilibria(d1: float, d2: float, a: float, period: int) -> Equilibria:
+    """Every period-P equilibrium of the first/second neighbor lattice, by a
+    homotopy from the anti-continuum limit (MacKay and Aubry 1994).
+
+    H(u, t) = t L u - ((1 - t) gamma + t) f(u), L the summed blocks of the
+    period-P lattice with their row sums on the diagonal, has the 3^P roots
+    {0, a, 1}^P at t = 0 and the equilibria L u = f(u) at t = 1.  For a
+    generic complex gamma the paths stay regular and bounded for t < 1, and
+    a root of multiplicity m ends m paths (the gamma trick; Sommese and
+    Wampler 2005), so a state at the end of more than one path is listed
+    once, as degenerate.  The lattice shift maps paths to paths, so one path
+    per orbit of start points is tracked.
     """
-    if d1 == 0.0:
-        raise DecoupledLatticeError(
-            "d1 = 0 decouples the sublattices; the period-2 branch formula "
-            "y = x + f(x)/(2 d1) is undefined — treat each sublattice separately")
     f = CubicNonlinearity(1.0, a)
+    C = np.sum(_neighbor_lattice(d1, d2, f, period).blocks()[1], axis=0)
+    np.fill_diagonal(C, 0.0)
+    L = C - np.diag(np.sum(C, axis=1))
+    diag = np.arange(period)
 
-    def branch_y(x):
-        return x + f(x) / (2.0 * d1)
+    def solve(u, t, s, r):
+        # H_u x = r for a stack; a singular H_u gets its least-squares x
+        J = (t[:, None, None] * L).astype(complex)
+        J[:, diag, diag] -= s[:, None] * f.deriv(u)
+        try:
+            return np.linalg.solve(J, r[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            J = np.nan_to_num(J, nan=0.0, posinf=0.0, neginf=0.0)
+            return (np.linalg.pinv(J) @ r[..., None])[..., 0]
 
-    def g(x):
-        return f(x) + f(branch_y(x))
+    def newton(u, t, s):
+        return solve(u, t, s, s[:, None] * f(u) - t[:, None] * (u @ L.T))
 
-    xs = np.linspace(*_TWO_SITE_SCAN, _TWO_SITE_SCAN_POINTS)
-    gs = g(xs)
-    sign_change = np.flatnonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)
-    roots = _refine_roots(g, xs[sign_change], xs[sign_change + 1], 1e-15)
-    roots = roots[np.abs(g(roots)) <= 1e-12]
-    roots = _clusters([(0.0,), (a,), (1.0,)], np.reshape(roots, (-1, 1)), 1e-9)[:, 0]
+    starts = [s for s in itertools.product(range(3), repeat=period)
+              if s == min(s[k:] + s[:k] for k in range(period))]
+    orbit = np.array([len({s[k:] + s[:k] for k in range(period)}) for s in starts])
+    u = np.array([0.0, a, 1.0])[np.array(starts)].astype(complex)
+    t, h = np.zeros(len(u)), np.full(len(u), 0.1)
+    active = np.ones(len(u), bool)
+    with np.errstate(all="ignore"):
+        while np.any(active):
+            i = np.flatnonzero(active)
+            t1 = np.minimum(t[i] + h[i], 1.0)
+            s0, s1 = (1.0 - t[i]) * _GAMMA + t[i], (1.0 - t1) * _GAMMA + t1
+            # dH/dt = L u - (1 - gamma) f(u)
+            v = u[i] + (t1 - t[i])[:, None] * solve(u[i], t[i], s0, (1.0 - _GAMMA) * f(u[i])
+                                                    - u[i] @ L.T)
+            steps = []
+            for _ in range(3):
+                dv = newton(v, t1, s1)
+                v += dv
+                steps.append(np.max(np.abs(dv), axis=1))
+            scale = 1.0 + np.max(np.abs(u[i]), axis=1)
+            ok = ((steps[0] <= 0.1 * scale) & (steps[2] <= _TRACK_TOL * scale)
+                  & np.all(np.isfinite(v), axis=1))
+            u[i[ok]], t[i[ok]] = v[ok], t1[ok]
+            h[i] *= np.where(ok, 2.0, 0.5)
+            active[i] = (t[i] < 1.0) & (h[i] >= _STEP_MIN)
+        # Newton at t = 1, each path until its step stops shrinking
+        i, last = np.flatnonzero(t >= _ENDGAME_T), np.inf
+        for _ in range(_NEWTON_ITERS):
+            du = np.nan_to_num(newton(u[i], np.ones(len(i)), np.ones(len(i))))
+            u[i] += du
+            step = np.max(np.abs(du), axis=1)
+            go = (step > 1e-15 * (1.0 + np.max(np.abs(u[i]), axis=1))) & (step < last)
+            i, last = i[go], step[go]
+            if len(i) == 0:
+                break
+        lost = (t < _ENDGAME_T) | ~np.all(np.isfinite(u), axis=1)
+        x, scale = u.real, 1.0 + np.max(np.abs(u), axis=1)
+        real = ~lost & (np.max(np.abs(u.imag), axis=1) <= _SAME_STATE * scale)
+        real[real] = (np.max(np.abs(_defects(C, f, x[real])), axis=1)
+                      <= _ENDPOINT_TOL * scale[real] ** 3)
+    # every shift of every real endpoint: a start of period p gives each of
+    # its shifts period / p times, so each counts as p / period of a path
+    rot = (np.arange(period) + np.arange(period)[:, None]) % period
+    reps, paths = _clusters(np.outer([0.0, a, 1.0], np.ones(period)),
+                            np.reshape(x[real][:, rot], (-1, period)),
+                            np.repeat(orbit[real] / period, period), _SAME_STATE)
+    defects = np.max(np.abs(_defects(C, f, reps)), axis=1)
+    states = [PeriodicState(period, tuple(map(float, v)), float(r), bool(n > 1.5))
+              for v, r, n in zip(reps, defects, paths)]
+    return Equilibria(states, 3 ** period, int(np.sum(orbit[lost])))
 
-    states = []
-    for x in roots:
-        y = branch_y(x)
-        # even-site defect is zero by the branch formula; the odd one is |g|
-        residual = max(abs(2.0 * d1 * (y - x) - f(x)), abs(2.0 * d1 * (x - y) - f(y)))
-        states.append(PeriodicState(2, (float(x), float(y)), float(residual)))
-    return states
+
+def find_two_periodic_equilibria(d1: float, a: float) -> Equilibria:
+    """Period-2 equilibria; the second neighbors cancel at period 2."""
+    return _periodic_equilibria(d1, 0.0, a, 2)
+
+
+def find_four_periodic_equilibria(d1: float, d2: float, a: float) -> Equilibria:
+    """Period-4 equilibria of the first/second neighbor lattice."""
+    return _periodic_equilibria(d1, d2, a, 4)
 
 
 def _match_cubic(samples_v: np.ndarray, samples_f: np.ndarray) -> CubicNonlinearity:
@@ -281,75 +365,6 @@ def _match_cubic(samples_v: np.ndarray, samples_f: np.ndarray) -> CubicNonlinear
     if k == 0.0:
         raise TransformError("transformed nonlinearity degenerated to sub-cubic")
     return CubicNonlinearity(k, float(c1 / c3))
-
-
-def _four_site_rhs(u, d1, d2, f):
-    """Period-4 equilibrium residual of one state (4,) or a stack (K, 4)."""
-    w, x, y, z = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
-    return np.stack([
-        d1 * (z - 2.0 * w + x) + 2.0 * d2 * (y - w) - f(w),
-        d1 * (w - 2.0 * x + y) + 2.0 * d2 * (z - x) - f(x),
-        d1 * (x - 2.0 * y + z) + 2.0 * d2 * (w - y) - f(y),
-        d1 * (y - 2.0 * z + w) + 2.0 * d2 * (x - z) - f(z),
-    ], axis=-1)
-
-
-def _solve_stack(J, rhs):
-    """Solutions of J_k x = rhs_k and a mask of the solvable systems; a
-    singular J_k leaves its row of x undefined and its mask entry False."""
-    try:
-        return np.linalg.solve(J, rhs[..., None])[..., 0], np.ones(len(J), bool)
-    except np.linalg.LinAlgError:
-        x = np.full_like(rhs, np.nan)
-        solved = np.zeros(len(J), bool)
-        for k in range(len(J)):
-            try:
-                x[k] = np.linalg.solve(J[k], rhs[k])
-                solved[k] = True
-            except np.linalg.LinAlgError:
-                pass
-        return x, solved
-
-
-def find_four_periodic_equilibria(d1: float, d2: float, a: float) -> list[PeriodicState]:
-    """Newton sweep over a seed grid for the period-4 equilibrium system.
-
-    All seeds iterate together.  A seed stops as converged once its residual
-    is at most 1e-13, and as failed on a singular Jacobian, a non-finite
-    step or a step longer than 10.  The homogeneous states 0, a and 1 are
-    always included, exactly, in place of nearby converged seeds.
-    """
-    f = CubicNonlinearity(1.0, a)
-    # the Jacobian's coupling part: the period-4 lattice's blocks, summed
-    coupling = np.sum(_neighbor_lattice(d1, d2, f, 4).blocks()[1], axis=0)
-    diag = np.arange(4)
-    u = np.array(np.meshgrid(*[_FOUR_SITE_SEEDS] * 4)).reshape(4, -1).T.astype(float)
-    active = np.ones(len(u), bool)
-    ok = np.zeros(len(u), bool)
-    for _ in range(_FOUR_SITE_NEWTON_ITERS):
-        idx = np.flatnonzero(active)
-        if len(idx) == 0:
-            break
-        r = _four_site_rhs(u[idx], d1, d2, f)
-        done = np.max(np.abs(r), axis=1) <= 1e-13
-        ok[idx[done]] = True
-        active[idx[done]] = False
-        idx, r = idx[~done], r[~done]
-        jac = np.repeat(coupling[None], len(idx), axis=0)
-        jac[:, diag, diag] -= f.deriv(u[idx])
-        step, solved = _solve_stack(jac, -r)
-        good = (solved & np.all(np.isfinite(step), axis=1)
-                & (np.max(np.abs(step), axis=1) <= 10.0))
-        active[idx[~good]] = False
-        u[idx[good]] += step[good]
-    conv = u[ok]
-    conv = conv[np.max(np.abs(_four_site_rhs(conv, d1, d2, f)), axis=1) <= 1e-12]
-    uniq = _clusters([(v,) * 4 for v in (0.0, a, 1.0)], conv, 1e-8)
-    return [
-        PeriodicState(4, tuple(float(c) for c in u),
-                      float(np.max(np.abs(_four_site_rhs(u, d1, d2, f)))))
-        for u in uniq
-    ]
 
 
 def _conjugated(model: LatticeModel, d: np.ndarray) -> dict[float, np.ndarray]:
@@ -379,16 +394,21 @@ def periodic_transform(d1: float, d2: float, a: float, minus: PeriodicState,
     P = minus.period
     if plus.period != P:
         raise TransformError("minus and plus must have the same period")
-    for st in (minus, plus):
-        if st.residual > _EQUILIBRIUM_TOL:
-            raise TransformError(
-                f"input state {st.values} has equilibrium defect {st.residual:.3e}")
     x = minus.as_array()
     d = plus.as_array() - x
     if np.any(d == 0.0):
         raise TransformError("all component differences must be nonzero")
     f = CubicNonlinearity(1.0, a)
     lattice = _neighbor_lattice(d1, d2, f, P)
+    C = np.sum(lattice.blocks()[1], axis=0)
+    # component i's cubic at 1 is the states' defect difference over d_i
+    for st in (minus, plus):
+        over = np.abs(_defects(C, f, st.as_array()[None])[0] / d)
+        i = int(np.argmax(over))
+        if over[i] > _CUBIC_MATCH_TOL:
+            raise TransformError(
+                f"input state {st.values}: the equilibrium defect of component {i} "
+                f"is {over[i]:.3e} of |d_{i}|, above {_CUBIC_MATCH_TOL:g}")
     parts = []
     for in_split in (False, True):
         bonds = {b: w for b, w in lattice.couplings.items() if (b in split) == in_split}
@@ -400,7 +420,6 @@ def periodic_transform(d1: float, d2: float, a: float, minus: PeriodicState,
         parts.append((shifts, tuple(blocks[r] for r in shifts)))
 
     # the diagonals of C and A agree, so only off-diagonal entries add up to s
-    C = np.sum(lattice.blocks()[1], axis=0)
     s = np.sum(C - np.sum(list(_conjugated(lattice, d).values()), axis=0), axis=1)
     v = np.array([0.0, 1.0, 2.0, -1.0])
     cubics = tuple(_match_cubic(v, (f(x[i] + d[i] * v) - f(x[i])) / d[i] + s[i] * v)

@@ -489,6 +489,9 @@ def test_criterion_12_byte_identical_artifacts(tmp_path, capsys):
         ("check-hyperbolic", {"hyperbolic": {"c": 0.28},
                               "model": {"kind": "nagumo"}},
          ("report.json",)),
+        ("equilibria", {"model": {"kind": "nagumo", "d1": -1.0, "d2": -0.5,
+                                  "a": 0.2, "period": 4}},
+         ("equilibria.json",)),
     ]
     identical = True
     for i, (cmd, cfg, names) in enumerate(configs):
@@ -499,5 +502,5 @@ def test_criterion_12_byte_identical_artifacts(tmp_path, capsys):
                           == (tmp_path / f"b{i}" / name).read_bytes())
     capsys.readouterr()
     report(12, identical,
-           "re-running solve-wave/tails/check-hyperbolic with identical "
+           "re-running solve-wave/tails/check-hyperbolic/equilibria with identical "
            f"configs yields byte-identical artifacts: {identical}")

@@ -172,6 +172,8 @@ def test_equilibria_command(tmp_path, capsys):
     payload = json.loads((tmp_path / "equilibria.json").read_text())
     assert len(payload["states"]) >= 5
     assert all(st["residual"] <= 1e-9 for st in payload["states"])
+    assert payload["paths_tracked"] == 9 and payload["paths_lost"] == 0
+    assert not any(st["degenerate"] for st in payload["states"])
 
 
 def test_equilibria_command_period_four(tmp_path, capsys):
@@ -181,6 +183,7 @@ def test_equilibria_command_period_four(tmp_path, capsys):
     payload = json.loads((tmp_path / "equilibria.json").read_text())
     assert payload["period"] == 4
     assert len(payload["states"]) == 9
+    assert payload["paths_tracked"] == 81 and payload["paths_lost"] == 0
 
 
 def test_transform4_command(tmp_path, capsys):

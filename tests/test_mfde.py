@@ -449,7 +449,7 @@ def test_two_site_problem_and_operator_share_matrices(swapped, w, d2, eps, c):
         ends = ((0.0, 0.0), (1.0, 1.0))
     f = CubicNonlinearity(1.0, a)
     minus, plus = (PeriodicState(2, (x, y), max(abs(2.0 * d1 * (y - x) - f(x)),
-                                               abs(2.0 * d1 * (x - y) - f(y))))
+                                               abs(2.0 * d1 * (x - y) - f(y))), False)
                    for x, y in ends)
     system = periodic_transform(d1, d2, a, minus, plus, SPLIT_BONDS[2])
     got = periodic_problem(system, eps).operator(c)

@@ -1,4 +1,4 @@
-"""Model construction: equilibria scans, periodic-to-system transforms,
+"""Model construction: the equilibria search, periodic-to-system transforms,
 geometric-kernel truncation."""
 
 import functools
@@ -14,7 +14,6 @@ from latticefronts.bvp import periodic_problem
 from latticefronts.model import (
     SPLIT_BONDS,
     CubicNonlinearity,
-    DecoupledLatticeError,
     LatticeModel,
     PeriodicState,
     TransformError,
@@ -54,7 +53,7 @@ def test_cubic_bistable_sign_pattern():
 
 
 # --------------------------------------------------------------------------
-# root refinement shared by the equilibria scan and the tail rates
+# root refinement of the tail rates
 
 @settings(max_examples=200, deadline=None)
 @given(root=st.floats(-1e3, 1e3), a3=st.floats(0.01, 100.0),
@@ -132,8 +131,8 @@ def test_two_periodic_equilibria_closed_form():
 
 @pytest.mark.parametrize("d1, a", [(1.0, 0.3), (-0.05, 0.5), (-0.3, 0.2)])
 def test_two_periodic_homogeneous_states_are_exact(d1, a):
-    # root refinement also finds round-off roots such as -3.6e-16 and
-    # 0.29999999999999993; the exact states represent their clusters
+    # a path can end at a round-off neighbor such as -3.6e-16 or
+    # 0.29999999999999993; the exact states represent their groups
     values = [st.values for st in find_two_periodic_equilibria(d1, a)]
     for hom in (0.0, a, 1.0):
         assert (hom, hom) in values
@@ -148,6 +147,16 @@ def test_two_periodic_equilibria_come_in_swapped_pairs():
     for arr in arrays:
         swapped = arr[::-1]
         assert min(np.max(np.abs(a - swapped)) for a in arrays) <= 1e-9
+
+
+def test_two_periodic_swapped_pair_of_a_strongly_repelling_lattice():
+    # at d1 = -2 the swapped pair x = (1 -+ sqrt(1 - 16 d1)) / 2 lies far
+    # outside [0, 1], beyond any fixed scan interval such as (-2, 3)
+    values = [st.values for st in find_two_periodic_equilibria(-2.0, 0.5)]
+    root = math.sqrt(33.0)
+    for pair in [((1.0 - root) / 2, (1.0 + root) / 2), ((1.0 + root) / 2, (1.0 - root) / 2)]:
+        assert min(np.max(np.abs(np.subtract(v, pair))) for v in values) <= 1e-12
+    assert min(abs(v[0] + 2.3723) for v in values) <= 1e-4
 
 
 @settings(max_examples=20, deadline=None)
@@ -217,10 +226,21 @@ def test_transform_middle_root_formula_flag(swapped_pair):
 
 def test_transform_rejects_non_equilibria():
     states = find_two_periodic_equilibria(-0.05, 0.5)
-    bogus = states[0].__class__(period=2, values=(0.123, 0.456), residual=1.0)
+    bogus = states[0].__class__(period=2, values=(0.123, 0.456), residual=1.0,
+                                degenerate=False)
     good = max(states, key=lambda s: max(s.values) - min(s.values))
     with pytest.raises(TransformError):
         periodic_transform(-0.05, 0.0, 0.5, bogus, good, SPLIT_BONDS[2])
+
+
+def test_transform_names_the_state_whose_defect_it_refuses(swapped_pair):
+    # x+ moved by 1e-10 leaves a defect of 1e-10 in component 0, which
+    # divided by |d_0| = 1.34 keeps the cubic of component 0 from vanishing at 1
+    minus, plus = swapped_pair
+    moved = PeriodicState(2, (plus.values[0] + 1e-10, plus.values[1]), 1e-10, False)
+    with pytest.raises(TransformError, match=r"input state .* component 0 "):
+        periodic_transform(-0.05, 0.0, 0.5, minus, moved, SPLIT_BONDS[2])
+    periodic_transform(-0.05, 0.0, 0.5, minus, plus, SPLIT_BONDS[2])
 
 
 # --------------------------------------------------------------------------
@@ -235,8 +255,7 @@ def test_four_periodic_contains_homogeneous():
 
 @pytest.mark.parametrize("d1, d2, a", [(0.0, 1.0, 0.3), (1.0, 0.0, 0.3)])
 def test_four_periodic_homogeneous_states_are_exact(d1, d2, a):
-    # Newton from the seed grid lands within 1e-12 of 0^4, for example at
-    # (-5.97e-14, ...); the exact state represents that cluster
+    # a path can end within 1e-12 of 0^4; the exact state represents its group
     states = find_four_periodic_equilibria(d1, d2, a)
     values = [st.values for st in states]
     for hom in (0.0, a, 1.0):
@@ -247,16 +266,24 @@ def test_four_periodic_homogeneous_states_are_exact(d1, d2, a):
 
 
 def reference_four_periodic_sweep(d1, d2, a):
-    """One Newton loop per seed, as the sweep was first written."""
-    from latticefronts.model import _FOUR_SITE_SEEDS, _four_site_rhs
+    """One Newton loop per seed of a 7^4 grid, as the period-4 sweep was
+    first written."""
     f = CubicNonlinearity(1.0, a)
+
+    def rhs(u):
+        w, x, y, z = u
+        return np.array([d1 * (z - 2.0 * w + x) + 2.0 * d2 * (y - w) - f(w),
+                         d1 * (w - 2.0 * x + y) + 2.0 * d2 * (z - x) - f(x),
+                         d1 * (x - 2.0 * y + z) + 2.0 * d2 * (w - y) - f(y),
+                         d1 * (y - 2.0 * z + w) + 2.0 * d2 * (x - z) - f(z)])
+
     found = [np.full(4, v) for v in (0.0, a, 1.0)]
-    seeds = _FOUR_SITE_SEEDS
+    seeds = (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5)
     for seed in np.array(np.meshgrid(seeds, seeds, seeds, seeds)).reshape(4, -1).T:
         u = seed.astype(float).copy()
         ok = False
         for _ in range(50):
-            r = _four_site_rhs(u, d1, d2, f)
+            r = rhs(u)
             if np.max(np.abs(r)) <= 1e-13:
                 ok = True
                 break
@@ -269,7 +296,7 @@ def reference_four_periodic_sweep(d1, d2, a):
             if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 10.0:
                 break
             u = u + step
-        if ok and np.max(np.abs(_four_site_rhs(u, d1, d2, f))) <= 1e-12:
+        if ok and np.max(np.abs(rhs(u))) <= 1e-12:
             found.append(u)
     # first of each cluster in lexicographic order, but an exact homogeneous
     # state represents the cluster it falls in
@@ -287,8 +314,54 @@ def reference_four_periodic_sweep(d1, d2, a):
 
 @pytest.mark.parametrize("d1, d2, a", [(0.0, 1.0, 0.3), (-0.05, 0.01, 0.5)])
 def test_four_periodic_sweep_matches_per_seed_loop(d1, d2, a):
-    states = find_four_periodic_equilibria(d1, d2, a)
-    assert [st.values for st in states] == reference_four_periodic_sweep(d1, d2, a)
+    # the search lists every state the seed sweep finds
+    values = np.array([st.values for st in find_four_periodic_equilibria(d1, d2, a)])
+    for u in reference_four_periodic_sweep(d1, d2, a):
+        assert np.min(np.max(np.abs(values - u), axis=1)) <= 1e-12
+
+
+def test_four_periodic_state_of_a_strongly_repelling_lattice():
+    # a nondegenerate state with components outside [-0.5, 1.5], the box of
+    # the seeds of reference_four_periodic_sweep, which misses it
+    states = find_four_periodic_equilibria(-1.0, -0.5, 0.2)
+    target = (-1.40372, -1.40372, -0.05459, 2.65831)
+    best = min(states, key=lambda st: np.max(np.abs(st.as_array() - target)))
+    assert np.max(np.abs(best.as_array() - target)) <= 1e-5
+    assert not best.degenerate and best.residual <= 1e-12
+
+
+@pytest.mark.parametrize("period, search", [
+    (2, lambda: find_two_periodic_equilibria(-0.2, 0.2)),
+    (4, lambda: find_four_periodic_equilibria(-1.0, 0.3, 0.2))])
+def test_degenerate_state_listed_once(period, search):
+    # the summed coupling has the eigenvalue 0.8 = f'(1) (-4 d1 at period 2),
+    # so the state 1 is a multiple root at the end of several homotopy paths
+    states = search()
+    ones = [st for st in states if np.max(np.abs(st.as_array() - 1.0)) <= 1e-3]
+    assert [st.values for st in ones] == [(1.0,) * period]
+    assert ones[0].degenerate
+    assert len(states) <= 3 ** period
+    assert states.paths_tracked == 3 ** period and states.paths_lost == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(d1=st.floats(-1.0, 1.0), d2=st.floats(-1.0, 1.0), a=st.floats(0.1, 0.9),
+       period=st.sampled_from([2, 4]))
+def test_equilibria_search_property(d1, d2, a, period):
+    """Every nondegenerate state solves the equilibrium equations to 1e-12,
+    no more than the Bezout number 3^P of states are listed, and the list is
+    invariant under the lattice shift u_i -> u_{i+1}."""
+    if period == 2:
+        states = find_two_periodic_equilibria(d1, a)
+    else:
+        states = find_four_periodic_equilibria(d1, d2, a)
+    assert states.paths_tracked == 3 ** period and states.paths_lost == 0
+    assert len(states) <= 3 ** period
+    for state in states:
+        assert state.degenerate or state.residual <= 1e-12
+    values = np.array([s.values for s in states])
+    for v in values:
+        assert np.min(np.max(np.abs(values - np.roll(v, -1)), axis=1)) <= 1e-9
 
 
 def _summed_coupling(system):
@@ -390,7 +463,8 @@ def _period_three_states(d1, d2, a):
         sol = scipy.optimize.root(_periodic_rhs, seed, args=(d1, d2, f), tol=1e-14)
         defect = float(np.max(np.abs(_periodic_rhs(sol.x, d1, d2, f))))
         if sol.success and defect <= 1e-12:
-            states.setdefault(tuple(np.round(sol.x, 8)), PeriodicState(3, tuple(sol.x), defect))
+            states.setdefault(tuple(np.round(sol.x, 8)),
+                              PeriodicState(3, tuple(sol.x), defect, False))
     return list(states.values())
 
 
@@ -405,7 +479,7 @@ def _periodic_systems(P, d1, d2, a):
         return _transforms(d1, d2, a, _period_three_states(d1, d2, a), frozenset())
     pairs = find_two_periodic_equilibria(d1, a)
     if P == 6:
-        pairs = [PeriodicState(6, st.values * 3, st.residual) for st in pairs]
+        pairs = [PeriodicState(6, st.values * 3, st.residual, st.degenerate) for st in pairs]
     split = frozenset((n, k) for n in range(P) for k in (-2, 2))
     return _transforms(d1, d2, a, pairs, split)
 
@@ -473,10 +547,12 @@ def test_nagumo_rejects_degenerate_middle_root():
         build_nagumo(1.0, 0.0, 0.0)
 
 
-def test_decoupled_lattice_rejected():
-    # the period-2 branch formula divides by d1
-    with pytest.raises(DecoupledLatticeError):
-        find_two_periodic_equilibria(0.0, 0.3)
+def test_decoupled_lattice_lists_the_uncoupled_states():
+    # at d1 = 0 the sites decouple and the equilibria are {0, a, 1}^2
+    states = find_two_periodic_equilibria(0.0, 0.3)
+    levels = (0.0, 0.3, 1.0)
+    assert [st.values for st in states] == [(x, y) for x in levels for y in levels]
+    assert not any(st.degenerate for st in states)
 
 
 def test_lattice_model_validates_period():
