@@ -166,11 +166,7 @@ class WaveProblem:
 
     def operator(self, c: float) -> MFDEOperator:
         shifts, mats = self.effective_coupling()
-        mats = tuple(mats)
-        if 0.0 not in shifts:
-            shifts = shifts + (0.0,)
-            mats = mats + (np.zeros((self.dimension,) * 2),)
-        return MFDEOperator(shifts=shifts, matrices=mats, c=c,
+        return MFDEOperator(shifts=shifts, matrices=tuple(mats), c=c,
                             gamma_minus=self.gamma_at(0.0),
                             gamma_plus=self.gamma_at(1.0))
 
@@ -210,10 +206,10 @@ class Coupling:
         return (self.C @ values.ravel()).reshape(values.shape) + self.b
 
 
-@functools.lru_cache(maxsize=32)
-def _coupling(n: int, N: int, steps: tuple[int, ...], mats: bytes) -> Coupling:
-    A = np.frombuffer(mats).reshape(len(steps), N, N)
-    steps = np.array(steps, dtype=np.int64).reshape(-1)
+def coupling_operator(shifts, matrices, n: int, N: int, h: float) -> Coupling:
+    """Sparse coupling of the shift/matrix pairs on n nodes of spacing h."""
+    steps = np.array(_grid_steps(shifts, h), dtype=np.int64).reshape(-1)
+    A = np.asarray(matrices, dtype=float).reshape(len(steps), N, N)
     # one column per nonzero A_j[a, b]: row i*N + a takes it at column
     # (i + m_j)*N + b wherever node i + m_j lies on the grid
     j, a, b = np.nonzero(A)
@@ -227,13 +223,6 @@ def _coupling(n: int, N: int, steps: tuple[int, ...], mats: bytes) -> Coupling:
     b = (node + steps >= n).astype(float) @ A.sum(axis=2)
     _read_only(C.data, b)
     return Coupling(C=C, b=b)
-
-
-def coupling_operator(shifts, matrices, n: int, N: int, h: float) -> Coupling:
-    """Cached sparse coupling of the shift/matrix pairs on n nodes of spacing h."""
-    steps = _grid_steps(shifts, h)
-    mats = np.asarray(matrices, dtype=float).reshape(len(steps), N, N)
-    return _coupling(n, N, steps, mats.tobytes())
 
 
 def _deriv_matrix(n: int, h: float) -> sp.csr_matrix:
@@ -312,7 +301,7 @@ def _discretization(grid: Grid, N: int, shifts: tuple[float, ...],
                     mats: bytes) -> Discretization:
     n, size = grid.n, grid.n * N
     D = _deriv_matrix(n, grid.h)
-    coupling = _coupling(n, N, _grid_steps(shifts, grid.h), mats)
+    coupling = coupling_operator(shifts, np.frombuffer(mats), n, N, grid.h)
     Dc = D.tocoo()
     comp = np.arange(N)
     Cc = coupling.C.tocoo()
@@ -655,14 +644,14 @@ def nagumo_problem(d1: float, d2: float, a: float) -> WaveProblem:
 
 
 def epsilon_scaled_problem(d1: float, d2: float, a: float, eps: float) -> WaveProblem:
-    """Couplings rescaled onto shifts {0, ±eps, ±2 eps}; converges to the
-    continuum second derivative with weight d1 + 4 d2 as eps -> 0."""
+    """The Nagumo lattice's blocks over eps^2 on shifts {0, ±eps, ±2 eps};
+    converges to the continuum second derivative with weight d1 + 4 d2 as
+    eps -> 0."""
+    model = build_nagumo(d1, d2, a)
+    shifts, mats = model.blocks()
     s = 1.0 / (eps * eps)
-    shifts = (-2.0 * eps, -eps, 0.0, eps, 2.0 * eps)
-    mats = tuple(np.array([[v]]) for v in
-                 (d2 * s, d1 * s, (-2.0 * d1 - 2.0 * d2) * s, d1 * s, d2 * s))
-    return WaveProblem(shifts=shifts, matrices=mats,
-                       cubics=(CubicNonlinearity(1.0, a),))
+    return WaveProblem(shifts=tuple(r * eps for r in shifts),
+                       matrices=tuple(B * s for B in mats), cubics=model.cubics)
 
 
 def periodic_problem(system: PeriodicSystem, eps: float) -> WaveProblem:
@@ -674,11 +663,9 @@ def periodic_problem(system: PeriodicSystem, eps: float) -> WaveProblem:
 
 
 def infinite_range_problem(model: InfiniteRangeModel, eps: float = 0.0) -> WaveProblem:
-    """Base lattice as the reference; the tail in difference form (the full
-    model of a base without couplings), folded, as the eps-scaled perturbation."""
-    base = lattice_problem(model.base)
-    bare = replace(model.base, couplings={})
-    pert_shifts, pert_mats = replace(model, base=bare).full_model(1.0).blocks()
-    return WaveProblem(shifts=base.shifts, matrices=base.matrices,
-                       cubics=base.cubics, pert_shifts=pert_shifts,
-                       pert_matrices=pert_mats, eps=eps)
+    """Base lattice as the reference and the tail lattice as the eps-scaled
+    perturbation, both folded."""
+    shifts, mats = model.base.blocks()
+    pert_shifts, pert_mats = model.tail.blocks()
+    return WaveProblem(shifts=shifts, matrices=mats, cubics=model.base.cubics,
+                       pert_shifts=pert_shifts, pert_matrices=pert_mats, eps=eps)

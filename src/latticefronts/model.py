@@ -13,7 +13,6 @@ connecting the constant states 0 and 1.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,7 +43,7 @@ _SAME_STATE = 1e-4               # relative distance of one state's endpoints an
                                  # largest relative imaginary part of a real one
 _ROOT_LEVELS = 5                 # bisection steps per round of a root refinement
 _ROOT_ROUNDS = 40                # most rounds of a root refinement (200 steps)
-_CUBIC_MATCH_TOL = 1e-12         # largest relative f(0), f(1) of a matched cubic
+_CUBIC_MATCH_TOL = 1e-12         # largest defect of a transformed state, over |d_i|
 
 # the bonds (n, k) that periodic_transform moves to the perturbation: the
 # second neighbours of the period-2 lattice, and the w-x and x-y bonds of the
@@ -101,9 +100,6 @@ class LatticeModel:
     @property
     def k_max(self) -> int:
         return max((abs(k) for (_n, k) in self.couplings), default=0)
-
-    def coupling(self, n: int, k: int) -> float:
-        return self.couplings.get((n % self.period, k), 0.0)
 
     def blocks(self) -> tuple[tuple[float, ...], tuple[np.ndarray, ...]]:
         """The lattice folded with its period N into a vector lattice: block
@@ -164,23 +160,19 @@ class Equilibria(list):
 
 @dataclass(frozen=True)
 class InfiniteRangeModel:
-    base: LatticeModel
-    tail: dict[tuple[int, int], float]
-    tail_bound: float
-    k_num: int
+    """A long-range lattice cut into two lattices, each closed to zero row
+    sums by its zero bond: base holds the bonds with |k| <= k0 and tail the
+    bonds beyond, up to the numerical support k_num."""
 
-    def summability(self, lam: float) -> float:
-        """sum_k |a_{n,k}| e^{|k| lam} on the numerical support, worst site,
-        plus the declared remainder bound scaled by the largest stored weight."""
-        per_site = np.zeros(self.base.period)
-        for (n, k), a in list(self.base.couplings.items()) + list(self.tail.items()):
-            per_site[n] += abs(a) * math.exp(abs(k) * lam)
-        return float(np.max(per_site)) + self.tail_bound * math.exp(self.k_num * lam)
+    base: LatticeModel
+    tail: LatticeModel
 
     def full_model(self, eps: float = 1.0) -> LatticeModel:
         """Base model plus eps times the tail (in difference form)."""
         couplings = dict(self.base.couplings)
-        for (n, k), a in self.tail.items():
+        for (n, k), a in self.tail.couplings.items():
+            if k == 0:
+                continue
             couplings[(n, k)] = couplings.get((n, k), 0.0) + eps * a
             couplings[(n, 0)] = couplings.get((n, 0), 0.0) - eps * a
         return LatticeModel(self.base.period, couplings, self.base.cubics)
@@ -352,21 +344,6 @@ def find_four_periodic_equilibria(d1: float, d2: float, a: float) -> Equilibria:
     return _periodic_equilibria(d1, d2, a, 4)
 
 
-def _match_cubic(samples_v: np.ndarray, samples_f: np.ndarray) -> CubicNonlinearity:
-    """Fit f(v) = k v (v - a)(v - 1) through exact cubic samples."""
-    coeffs = np.polynomial.polynomial.polyfit(samples_v, samples_f, 3)
-    c0, c1, c2, c3 = coeffs
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    if abs(c0) > _CUBIC_MATCH_TOL * scale:
-        raise TransformError(f"transformed nonlinearity has f(0) = {c0:.3e} != 0")
-    if abs(c3 + c2 + c1 + c0) > _CUBIC_MATCH_TOL * scale:
-        raise TransformError("transformed nonlinearity does not vanish at 1")
-    k = float(c3)
-    if k == 0.0:
-        raise TransformError("transformed nonlinearity degenerated to sub-cubic")
-    return CubicNonlinearity(k, float(c1 / c3))
-
-
 def _conjugated(model: LatticeModel, d: np.ndarray) -> dict[float, np.ndarray]:
     """The model's blocks B_j by shift, each as diag(d)^-1 B_j diag(d) off its
     diagonal and as B_j on it, which the conjugation leaves unchanged in exact
@@ -390,7 +367,10 @@ def periodic_transform(d1: float, d2: float, a: float, minus: PeriodicState,
     row sums to zero.  What the closing takes out of the coupling goes into
     the cubics: with C the summed lattice blocks and A the summed conjugated
     ones, component i gets (f(x_i + d_i v) - f(x_i)) / d_i + s_i v, where s_i
-    is row i's off-diagonal sum of C minus that of A."""
+    is row i's off-diagonal sum of C minus that of A.  Its Taylor coefficients
+    at 0 give the cubic: leading coefficient k = f.k d_i^2 and slope
+    k a = f'(x_i) + s_i; it vanishes at 1 because both states are
+    equilibria."""
     P = minus.period
     if plus.period != P:
         raise TransformError("minus and plus must have the same period")
@@ -421,8 +401,8 @@ def periodic_transform(d1: float, d2: float, a: float, minus: PeriodicState,
 
     # the diagonals of C and A agree, so only off-diagonal entries add up to s
     s = np.sum(C - np.sum(list(_conjugated(lattice, d).values()), axis=0), axis=1)
-    v = np.array([0.0, 1.0, 2.0, -1.0])
-    cubics = tuple(_match_cubic(v, (f(x[i] + d[i] * v) - f(x[i])) / d[i] + s[i] * v)
+    k = f.k * d * d
+    cubics = tuple(CubicNonlinearity(float(k[i]), float((f.deriv(x[i]) + s[i]) / k[i]))
                    for i in range(P))
     (shifts, matrices), (pert_shifts, pert_matrices) = parts
     return PeriodicSystem(shifts=shifts, matrices=matrices, pert_shifts=pert_shifts,
@@ -438,18 +418,13 @@ def build_infinite_range(a: float, q: float, scale: float,
         raise ValueError("geometric ratio q must lie in (0, 1)")
     if not 0 < k0 < k_num:
         raise ValueError("need 0 < k0 < k_num")
-    couplings: dict[tuple[int, int], float] = {}
-    for k in range(1, k0 + 1):
-        couplings[(0, k)] = couplings[(0, -k)] = scale * q**k
-    couplings[(0, 0)] = -sum(v for (n, k), v in couplings.items() if k != 0)
-    base = LatticeModel(1, couplings, (CubicNonlinearity(1.0, a),))
-    tail = {}
-    for k in range(k0 + 1, k_num + 1):
-        tail[(0, k)] = tail[(0, -k)] = scale * q**k
-    bound = 2.0 * scale * q ** (k_num + 1) / (1.0 - q)
-    return InfiniteRangeModel(base=base, tail=tail, tail_bound=bound, k_num=k_num)
+    f = CubicNonlinearity(1.0, a)
 
+    def lattice(ks) -> LatticeModel:
+        bonds = {}
+        for k in ks:
+            bonds[(0, k)] = bonds[(0, -k)] = scale * q**k
+        return LatticeModel(1, {**bonds, (0, 0): -sum(bonds.values())}, (f,))
 
-def tail_sum(model: InfiniteRangeModel) -> float:
-    """sum over |k| > k0 of stored tail weights (the smallness input Pi(k0))."""
-    return float(sum(model.tail.values())) + model.tail_bound
+    return InfiniteRangeModel(base=lattice(range(1, k0 + 1)),
+                              tail=lattice(range(k0 + 1, k_num + 1)))

@@ -58,6 +58,8 @@ def test_make_grid_rejects_incommensurable_shift():
 def test_make_grid_rejects_tiny_domain():
     with pytest.raises(ValueError):
         make_grid(5.0, 1.0, (0.0,))
+    with pytest.raises(ValueError, match="only 21 nodes"):
+        make_grid(10.0, 1.0, (0.0,))
 
 
 def test_initial_guess_connects_the_equilibria():
@@ -67,6 +69,8 @@ def test_initial_guess_connects_the_equilibria():
     assert np.max(np.abs(g[0])) <= 1e-10
     assert np.max(np.abs(g[-1] - 1.0)) <= 1e-10
     assert np.all(np.diff(g[:, 0]) >= 0.0)
+    with pytest.raises(ValueError, match="width must be positive"):
+        initial_guess(grid, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -129,6 +133,8 @@ def test_newton_solves_discrete_nagumo(nagumo_front):
     assert abs(sol.phase_location) <= grid.h
     assert np.all(np.diff(sol.profile[:, 0]) > -1e-12)
     assert not sol.pinning_suspected
+    with pytest.raises(ValueError, match="does not match the grid"):
+        newton_solve(problem, grid, sol.profile[1:], sol.c)
 
 
 def test_newton_solution_satisfies_residual_independently(nagumo_front):

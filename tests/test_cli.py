@@ -23,7 +23,7 @@ from latticefronts.cli import (
     run,
     validate,
 )
-from latticefronts.model import build_nagumo
+from latticefronts.model import build_nagumo, find_two_periodic_equilibria
 from latticefronts.sim import front_state, integrate
 
 
@@ -295,6 +295,10 @@ def test_transform2_command(tmp_path, capsys):
      "model.minus_index = -1 must be a non-negative integer"),
     ({"minus_index": 0, "plus_index": 1.0},
      "model.plus_index = 1.0 must be a non-negative integer"),
+    ({"minus": [0.1, 0.2], "plus": [1.0, 1.0]},
+     "state [0.1, 0.2] not found among equilibria"),
+    # at d1 = 1, a = 0.3 the period-2 states are the three homogeneous ones
+    ({"d1": 1.0, "a": 0.3}, "no non-homogeneous equilibria to connect"),
 ])
 def test_transform2_pair_selection_errors_exit_4(tmp_path, capsys, model, violation):
     cfg = {"model": {"kind": "two_site", "d1": -0.05, "a": 0.5, **model}}
@@ -303,6 +307,20 @@ def test_transform2_pair_selection_errors_exit_4(tmp_path, capsys, model, violat
     assert err["error"] == "invalid_config"
     assert any(v.startswith(violation) for v in err["violations"])
     assert not (tmp_path / "model.json").exists()
+
+
+def test_transform2_indices_of_the_default_pair_write_the_default_model(tmp_path):
+    model = {"kind": "two_site", "d1": -0.05, "a": 0.5}
+    states = find_two_periodic_equilibria(model["d1"], model["a"])
+    nontrivial = [i for i, st in enumerate(states) if max(st.values) - min(st.values) > 1e-9]
+    written = []
+    for given in (model, dict(model, minus_index=nontrivial[0], plus_index=nontrivial[-1])):
+        out = tmp_path / f"run{len(written)}"
+        assert run("transform2", {"model": given}, out) == 0
+        payload = json.loads((out / "model.json").read_text())
+        del payload["_meta"]
+        written.append(payload)
+    assert written[0] == written[1]
 
 
 def test_transform2_index_error_names_the_equilibria_count(tmp_path, capsys):

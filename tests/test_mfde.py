@@ -59,6 +59,11 @@ def test_operator_requires_zero_shift():
                      matrices=(np.eye(1), np.eye(1)),
                      c=1.0, gamma_minus=np.array([1.0]),
                      gamma_plus=np.array([1.0]))
+    for shifts, count, message in (((0.0, 1.0, 1.0), 3, "pairwise distinct"),
+                                   ((-1.0, 0.0, 1.0), 2, "one coefficient matrix")):
+        with pytest.raises(ValueError, match=message):
+            MFDEOperator(shifts=shifts, matrices=(np.eye(1),) * count, c=1.0,
+                         gamma_minus=np.array([1.0]), gamma_plus=np.array([1.0]))
 
 
 def per_point_delta(op, end, s):

@@ -23,7 +23,6 @@ from latticefronts.model import (
     find_four_periodic_equilibria,
     find_two_periodic_equilibria,
     periodic_transform,
-    tail_sum,
 )
 
 X_MINUS = 0.5 * (1.0 - math.sqrt(1.8))
@@ -222,6 +221,15 @@ def test_transform_middle_root_formula_flag(swapped_pair):
     d = plus.as_array() - minus.as_array()
     printed = -f.second_deriv(minus.as_array()) / d - 1.0
     assert max(abs(g.a - p) for g, p in zip(ts.cubics, printed)) > 1e-9
+
+
+def test_transform_of_homogeneous_states_gives_the_exact_cubic():
+    # from 0^4 to 1^4 the change of variables is the identity, so each
+    # component keeps f_a itself: k = d_i^2 = 1 and k a = f'(0) = a
+    states = find_four_periodic_equilibria(0.0, 1.0, 0.3)
+    zero, one = (next(st for st in states if st.values == (v,) * 4) for v in (0.0, 1.0))
+    ts = periodic_transform(0.0, 1.0, 0.3, zero, one, SPLIT_BONDS[4])
+    assert ts.cubics == (CubicNonlinearity(1.0, 0.3),) * 4
 
 
 def test_transform_rejects_non_equilibria():
@@ -538,8 +546,8 @@ def test_nagumo_couplings_zero_row_sum():
     model = build_nagumo(1.0, 0.25, 0.3)
     assert abs(sum(model.couplings.values())) <= 1e-15
     assert model.k_max == 2
-    assert model.coupling(0, 1) == 1.0
-    assert model.coupling(0, 2) == 0.25
+    assert model.couplings[(0, 1)] == 1.0
+    assert model.couplings[(0, 2)] == 0.25
 
 
 def test_nagumo_rejects_degenerate_middle_root():
@@ -556,8 +564,18 @@ def test_decoupled_lattice_lists_the_uncoupled_states():
 
 
 def test_lattice_model_validates_period():
+    f = CubicNonlinearity(1.0, 0.3)
     with pytest.raises(ValueError):
-        LatticeModel(2, {(0, 1): 1.0}, (CubicNonlinearity(1.0, 0.3),))
+        LatticeModel(2, {(0, 1): 1.0}, (f,))
+    with pytest.raises(ValueError, match="positive integer"):
+        LatticeModel(0, {}, ())
+    with pytest.raises(ValueError, match="site index 1 outside"):
+        LatticeModel(1, {(1, 0): 1.0}, (f,))
+
+
+def test_periodic_state_validates_length():
+    with pytest.raises(ValueError, match="length must equal period"):
+        PeriodicState(2, (0.0, 1.0, 0.0), 0.0, False)
 
 
 # --------------------------------------------------------------------------
@@ -565,19 +583,15 @@ def test_lattice_model_validates_period():
 
 def test_infinite_range_weights_and_tail_bound():
     irm = build_infinite_range(0.3, 0.5, 1.0, 2, 10)
-    assert irm.base.coupling(0, 1) == 0.5
-    assert irm.base.coupling(0, -2) == 0.25
-    assert irm.tail[(0, 3)] == 0.125
-    assert (0, 2) not in irm.tail
-    # geometric remainder beyond the numerical support, both sides
-    assert abs(irm.tail_bound - 2.0 * 0.5**11 / 0.5) <= 1e-15
-    # stored tail + remainder equals the exact series remainder past k0
-    exact = 2.0 * sum(0.5**k for k in range(3, 100))
-    assert abs(tail_sum(irm) - exact) <= 1e-12
-
-
-def test_infinite_range_summability_grows_with_rate():
-    irm = build_infinite_range(0.3, 0.5, 1.0, 1, 40)
-    assert irm.summability(0.1) < irm.summability(0.5)
-    with pytest.raises(ValueError):
+    assert irm.base.couplings[(0, 1)] == 0.5
+    assert irm.base.couplings[(0, -2)] == 0.25
+    assert irm.tail.couplings[(0, 3)] == 0.125
+    assert (0, 2) not in irm.tail.couplings
+    assert irm.tail.k_max == 10
+    # both lattices close their rows with the zero bond
+    for lattice in (irm.base, irm.tail):
+        assert abs(sum(lattice.couplings.values())) <= 1e-15
+    with pytest.raises(ValueError, match="geometric ratio"):
         build_infinite_range(0.3, 1.5, 1.0, 1, 40)
+    with pytest.raises(ValueError, match="0 < k0 < k_num"):
+        build_infinite_range(0.3, 0.5, 1.0, 10, 10)
