@@ -9,11 +9,13 @@ codes: 0 success, 2 convergence failure, 3 hyperbolicity violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -187,6 +189,49 @@ def write_json(path: Path, obj: dict, h: str):
     obj["_meta"] = {"package": "latticefronts", "version": __version__,
                     "config_hash": h}
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _snapshot_blocks(source, sites: int):
+    """trajectory.csv blocks of the snapshots read from ``source`` as float64
+    bytes (t, then the sites); t is formatted once, the site numbers are fixed."""
+    tmpl = "\n".join(f"{{0}},{n},{{{n + 1}:.17g}}" for n in range(sites))
+    while len(raw := source.read(8 * (1 + sites))) == 8 * (1 + sites):
+        snap = np.frombuffer(raw).tolist()
+        snap[0] = _g17(snap[0])
+        yield tmpl.format(*snap)
+
+
+@contextlib.contextmanager
+def _forked_writer(path: Path, sites: int, h: str):
+    """Yield ``send(t, u)``, which pipes one snapshot to a forked process that
+    formats it into a temporary file next to ``path``.  The file replaces
+    ``path`` when the block and the process both succeed and is deleted
+    otherwise; a failed process raises OSError."""
+    part = path.with_name(path.name + ".part")
+    r, w = os.pipe()
+    with open(r, "rb") as source, open(w, "wb") as sink:
+        pid = os.fork()
+        if pid == 0:            # the writer formats and writes, then leaves by os._exit
+            try:
+                sink.close()
+                write_csv(part, "t,site,value", _snapshot_blocks(source, sites), h)
+            except BaseException:
+                os._exit(1)
+            os._exit(0)
+        source.close()
+        try:
+            try:
+                # a broken pipe means the writer failed: its status says so below
+                with contextlib.suppress(BrokenPipeError), sink:
+                    yield lambda t, u: sink.write(np.float64(t).tobytes() + u.tobytes())
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                raise OSError(f"the writer of {path.name} exited with status {code}")
+            os.replace(part, path)
+        except BaseException:
+            part.unlink(missing_ok=True)
+            raise
 
 
 def write_profile_csv(path: Path, xi, profile, h: str):
@@ -398,15 +443,12 @@ def cmd_simulate(cfg, out, h):
     model = build_lattice(cfg["model"])
     sc = cfg["sim"]
     init = front_state(sc["M"], sc["front_at"], width=sc["width"])
-    traj = integrate(model, init, sc["dt"], sc["T"], stride=sc["stride"])
-    speed = measure_speed(traj, level=sc["level"])
-    xi, prof, scatter, warn = extract_profile(traj, speed.c_measured)
-    mono = check_monotonicity(prof)
-    # one block per snapshot: t is formatted once, the site numbers are fixed
-    tmpl = "\n".join(f"{{0}},{n},{{{n + 1}:.17g}}" for n in range(traj.sites))
-    blocks = (tmpl.format(_g17(t), *snap.tolist())
-              for t, snap in zip(traj.times, traj.states))
-    write_csv(out / "trajectory.csv", "t,site,value", blocks, h)
+    with _forked_writer(out / "trajectory.csv", len(init.sites), h) as send:
+        traj = integrate(model, init, sc["dt"], sc["T"], stride=sc["stride"],
+                         snapshot=send)
+        speed = measure_speed(traj, level=sc["level"])
+        xi, prof, scatter, warn = extract_profile(traj, speed.c_measured)
+        mono = check_monotonicity(prof)
     write_profile_csv(out / "profile.csv", xi, prof, h)
     write_json(out / "speed.json", {
         "c_measured": speed.c_measured, "fit_residual": speed.fit_residual,

@@ -146,10 +146,11 @@ def _lattice_rhs(model: LatticeModel, M: int):
 
 
 def integrate(model: LatticeModel, init: SimState, dt: float, T: float,
-              stride: int = 1) -> Trajectory:
+              stride: int = 1, snapshot=lambda t, u: None) -> Trajectory:
     """Classical RK4 with fixed step; the end cells keep their initial values.
 
-    Records the initial state, every ``stride``-th step and the last step.
+    Records the initial state, every ``stride``-th step and the last step,
+    and passes each recorded (t, u) to ``snapshot``.
     The stages run in preallocated buffers, in the operation order of
     u + (dt/6) (k1 + 2 k2 + 2 k3 + k4) with k2 = f(u + (dt/2) k1) etc.
     """
@@ -165,6 +166,7 @@ def integrate(model: LatticeModel, init: SimState, dt: float, T: float,
     states = np.empty((1 + steps // stride + (steps % stride != 0), M))
     states[0] = u
     times = [init.t]
+    snapshot(init.t, states[0])
     k1, k2, k3, k4, w = (np.empty(M) for _ in range(5))
     finite = np.empty(M, dtype=bool)
     half, sixth = 0.5 * dt, dt / 6.0
@@ -186,17 +188,8 @@ def integrate(model: LatticeModel, init: SimState, dt: float, T: float,
         if step % stride == 0 or step == steps:
             states[len(times)] = u
             times.append(init.t + step * dt)
+            snapshot(times[-1], states[len(times) - 1])
     return Trajectory(model=model, times=np.array(times), states=states)
-
-
-def _crossing_position(chain: np.ndarray, positions: np.ndarray, level: float):
-    above = chain >= level
-    idx = np.flatnonzero(above[:-1] != above[1:])
-    if len(idx) == 0:
-        return None
-    i = idx[0]
-    v0, v1 = chain[i], chain[i + 1]
-    return float(positions[i] + (level - v0) / (v1 - v0) * (positions[i + 1] - positions[i]))
 
 
 def _trailing(traj: Trajectory):
@@ -212,16 +205,15 @@ def measure_speed(traj: Trajectory, level: float = 0.5) -> SpeedMeasurement:
     Returns c in the phi(n + c t) convention (minus the crossing slope).
     """
     N = traj.model.period
-    sel = np.arange(0, traj.sites, N)
     times, snaps = _trailing(traj)
-    positions = []
-    for snap in snaps:
-        pos = _crossing_position(snap[sel], sel.astype(float), level)
-        if pos is None:
-            raise NoFrontError(
-                f"component 0 does not span level {level} in the fit window")
-        positions.append(pos)
-    positions = np.array(positions)
+    chains = snaps[:, ::N]      # component 0, sites 0, N, 2N, ...: a view, not a copy
+    flips = np.diff(chains >= level, axis=1)
+    if not flips.any(axis=1).all():
+        raise NoFrontError(f"component 0 does not span level {level} in the fit window")
+    # each snapshot's first crossing, interpolated between sites N i and N (i + 1)
+    i, rows = flips.argmax(axis=1), np.arange(len(chains))
+    v0, v1 = chains[rows, i], chains[rows, i + 1]
+    positions = N * i + (level - v0) / (v1 - v0) * N
     slope, intercept = np.polyfit(times, positions, 1)
     rms = float(np.sqrt(np.mean((positions - (slope * times + intercept)) ** 2)))
     return SpeedMeasurement(c_measured=float(-slope), fit_residual=rms,

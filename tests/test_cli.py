@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -496,6 +497,60 @@ def test_simulate_artifacts_are_byte_identical_across_runs(tmp_path, capsys):
     for name in ("trajectory.csv", "profile.csv", "speed.json"):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes())
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("sim, code", [({"front_at": 3.0}, 2), ({"dt": 0.5}, 4)],
+                         ids=["no-front-in-window", "dt-above-guard"])
+def test_simulate_failure_publishes_nothing_and_reaps_the_writer(tmp_path, capsys,
+                                                                 sim, code):
+    """Runs that fail after the trajectory writer is forked: the front starts
+    off the lattice (exit 2), dt exceeds the stability guard (exit 4)."""
+    cfg = {"model": {"kind": "nagumo"}, "sim": dict(SMALL_SIM["sim"], **sim)}
+    assert run("simulate", cfg, tmp_path) == code
+    assert os.listdir(tmp_path) == []
+    assert_no_child_left()
+
+
+def test_simulate_onto_a_trajectory_directory_raises(tmp_path, capsys):
+    """The finished trajectory cannot replace a directory: IsADirectoryError
+    escapes as from a direct write, and the temporary file is gone."""
+    (tmp_path / "trajectory.csv").mkdir()
+    with pytest.raises(IsADirectoryError):
+        run("simulate", SMALL_SIM, tmp_path)
+    assert os.listdir(tmp_path) == ["trajectory.csv"]
+    assert os.listdir(tmp_path / "trajectory.csv") == []
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("drain", [True, False], ids=["after-every-snapshot", "at-once"])
+def test_failing_trajectory_writer_raises_oserror_in_the_parent(tmp_path, capsys,
+                                                                monkeypatch, drain):
+    """A writer that fails exits in its own process, after reading every
+    snapshot (the parent learns of it from its status) or before reading any
+    (the parent also finds the pipe broken)."""
+    pid = os.getpid()
+
+    def failing_blocks(source, sites):
+        if drain:
+            source.read()
+        raise RuntimeError("formatting failed")
+        yield
+
+    monkeypatch.setattr("latticefronts.cli._snapshot_blocks", failing_blocks)
+    cfg = {"model": {"kind": "nagumo"}, "sim": dict(SMALL_SIM["sim"], M=300)}
+    try:
+        with pytest.raises(OSError, match="trajectory.csv exited with status 1"):
+            run("simulate", cfg, tmp_path)
+    finally:
+        if os.getpid() != pid:          # an escaped writer must not go on testing
+            os._exit(99)
+    assert os.listdir(tmp_path) == []
+    assert_no_child_left()
 
 
 # --------------------------------------------------------------------------

@@ -190,6 +190,19 @@ def test_blow_up_time_matches_allocating_rk4(nagumo_model):
     assert got.value.time == want.value.time
 
 
+def test_snapshot_callback_sees_every_recorded_snapshot(nagumo_model):
+    """(t, u) copies taken in the callback are the trajectory's times and
+    rows, the initial state and an off-stride last step included."""
+    seen = []
+    init = dataclasses.replace(front_state(90), t=1.5)
+    # 250 steps: the last one is not on a stride of 7
+    traj = integrate(nagumo_model, init, 0.02, 5.0, stride=7,
+                     snapshot=lambda t, u: seen.append((t, u.copy())))
+    assert len(seen) == len(traj.times) == 1 + 250 // 7 + 1
+    assert np.array_equal([t for t, _ in seen], traj.times)
+    assert np.array_equal(np.array([u for _, u in seen]), traj.states)
+
+
 def test_integrate_rejects_nonpositive_stride(nagumo_model):
     with pytest.raises(ValueError):
         integrate(nagumo_model, front_state(60), 0.02, 1.0, stride=0)
@@ -205,6 +218,55 @@ def test_measured_speed_sign_and_fit(nagumo_traj):
     # the crossing wobbles within a cell as the front hops sites
     assert speed.fit_residual <= 1e-2
     assert speed.window[1] == nagumo_traj.times[-1]
+
+
+def reference_measure_speed(traj, level):
+    """The crossing search one snapshot at a time: (c, fit residual), or
+    None when some snapshot of the fit window has no crossing."""
+    sel = np.arange(0, traj.sites, traj.model.period)
+    positions = sel.astype(float)
+    n_keep = max(2, int(round(len(traj.times) * 0.5)))
+    times, found = traj.times[-n_keep:], []
+    for snap in traj.states[-n_keep:]:
+        chain = snap[sel]
+        above = chain >= level
+        idx = np.flatnonzero(above[:-1] != above[1:])
+        if len(idx) == 0:
+            return None
+        i = idx[0]
+        v0, v1 = chain[i], chain[i + 1]
+        found.append(float(positions[i] + (level - v0) / (v1 - v0)
+                           * (positions[i + 1] - positions[i])))
+    found = np.array(found)
+    slope, intercept = np.polyfit(times, found, 1)
+    return float(-slope), float(np.sqrt(np.mean((found - (slope * times + intercept)) ** 2)))
+
+
+@pytest.mark.parametrize("name, level, stride", [
+    ("nagumo", 0.5, 5), ("nagumo", 0.1, 3), ("nagumo", 0.97, 10),
+    ("nagumo", 1.2, 5), ("ir-k40", 0.5, 4), ("ir-k40", 0.8, 7),
+    ("two-periodic", 0.5, 4), ("two-periodic", 0.3, 4),
+    ("nagumo-plateau", 0.5, 5), ("nagumo-plateau", 0.2, 6)])
+def test_measure_speed_matches_per_snapshot_loop(name, level, stride):
+    """The vectorized crossing search gives the loop's speed and residual bit
+    for bit, and raises where the loop finds no crossing."""
+    if name == "two-periodic":
+        traj = two_periodic_traj()
+    elif name == "nagumo-plateau":      # two crossings per snapshot: the first counts
+        rise = front_state(200, front_at=0.3).sites
+        init = SimState(sites=np.minimum(rise, rise[::-1]), t=0.0)
+        traj = integrate(RK4_MODELS["nagumo"], init, 0.03, 30.0, stride=stride)
+    else:
+        model = RK4_MODELS[name]
+        traj = integrate(model, front_state(200, front_at=0.7),
+                         0.9 * stability_dt_max(model), 40.0, stride=stride)
+    want = reference_measure_speed(traj, level)
+    if want is None:
+        with pytest.raises(NoFrontError, match=f"does not span level {level} "):
+            measure_speed(traj, level=level)
+        return
+    got = measure_speed(traj, level=level)
+    assert (got.c_measured, got.fit_residual) == want
 
 
 def test_no_front_error_on_flat_state(nagumo_model):

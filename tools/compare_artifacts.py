@@ -14,6 +14,7 @@ are those of the checkout this file sits in.
 artifacts differ between two runs, then the largest absolute difference of
 each numeric field: a JSON key path (list indices dropped) or a CSV column,
 prefixed by the artifact's name.
+It exits 1 when any job differs and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def _fields(name: str, a: bytes, b: bytes, worst: dict) -> None:
             worst[key] = max(worst.get(key, 0.0), abs(x - y))
 
 
-def diff(a: Path, b: Path) -> None:
+def diff(a: Path, b: Path) -> bool:
     names = sorted({p.name for d in (a, b) for p in d.iterdir() if p.is_dir()})
     by_kind = defaultdict(lambda: [0, []])
     worst: dict[str, float | str] = {}
@@ -134,13 +135,14 @@ def diff(a: Path, b: Path) -> None:
         print("largest absolute difference per field:")
         for key, v in sorted(worst.items()):
             print(f"  {key}  {v if isinstance(v, str) else format(v, '.3g')}")
+    return any(differ for _, differ in by_kind.values())
 
 
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "run":
         run(Path(argv[1]))
     elif len(argv) == 3 and argv[0] == "diff":
-        diff(Path(argv[1]), Path(argv[2]))
+        return int(diff(Path(argv[1]), Path(argv[2])))
     else:
         print(__doc__.split("\n\n")[0], file=sys.stderr)
         return 2
