@@ -193,12 +193,15 @@ def write_json(path: Path, obj: dict, h: str):
 
 def _snapshot_blocks(source, sites: int):
     """trajectory.csv blocks of the snapshots read from ``source`` as float64
-    bytes (t, then the sites); t is formatted once, the site numbers are fixed."""
-    tmpl = "\n".join(f"{{0}},{n},{{{n + 1}:.17g}}" for n in range(sites))
+    bytes (t, then the sites); t is formatted once, the site numbers are fixed.
+    One %-template per run takes t and the values interleaved."""
+    tmpl = "\n".join(f"%s,{n},%.17g" for n in range(sites))
+    args = [None] * (2 * sites)
     while len(raw := source.read(8 * (1 + sites))) == 8 * (1 + sites):
         snap = np.frombuffer(raw).tolist()
-        snap[0] = _g17(snap[0])
-        yield tmpl.format(*snap)
+        args[0::2] = [_g17(snap[0])] * sites
+        args[1::2] = snap[1:]
+        yield tmpl % tuple(args)
 
 
 @contextlib.contextmanager
@@ -540,8 +543,8 @@ SCHEMA = {
                      "target": (None, NUMBER.or_null()),
                      "stop_on_pinning": (False, BOOL), "hyper_tol": (1e-8, POSITIVE)},
     "fixedpoint": {"tol": (1e-10, POSITIVE), "max_iter": (200, COUNT)},
-    "sim": {"M": (400, COUNT), "dt": (0.02, POSITIVE), "T": (200.0, POSITIVE),
-            "stride": (10, COUNT), "front_at": (0.25, NUMBER), "level": (0.5, NUMBER),
+    "sim": {"M": (400, COUNT), "dt": (0.1, POSITIVE), "T": (200.0, POSITIVE),
+            "stride": (2, COUNT), "front_at": (0.25, NUMBER), "level": (0.5, NUMBER),
             "width": (2.0, POSITIVE)},
     "hyperbolic": {"c": (None, NUMBER.or_null()), "tol": (1e-8, POSITIVE),
                    "operator": (None, OBJECT.or_null())},

@@ -1,10 +1,13 @@
 """Command-line orchestration: validation, dispatch, artifacts, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,19 +16,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import latticefronts
 from latticefronts import __version__
 from latticefronts.cli import (
     COMMANDS,
     OPERATOR as OPERATOR_SCHEMA,
     SCHEMA,
     ConfigError,
+    _g17,
+    _snapshot_blocks,
+    build_lattice,
     config_hash,
     main,
     run,
     validate,
 )
 from latticefronts.model import build_nagumo, find_two_periodic_equilibria
-from latticefronts.sim import front_state, integrate
+from latticefronts.sim import front_state, integrate, measure_speed
 
 
 # --------------------------------------------------------------------------
@@ -480,8 +487,8 @@ def test_simulate_trajectory_matches_per_row_writer(tmp_path, capsys):
     model = build_nagumo(1.0, 0.0, 0.3)
     init = front_state(sc["M"], sc["front_at"], width=sc["width"])
     traj = integrate(model, init, sc["dt"], sc["T"], stride=sc["stride"])
-    # 200 steps: the last snapshot is not on a stride
-    assert len(traj.times) == 1 + 200 // 3 + 1
+    # 40 steps: the last snapshot is not on a stride
+    assert len(traj.times) == 1 + 40 // 3 + 1
     lines = [f"# latticefronts {__version__} config={config_hash(cfg)}",
              "t,site,value"]
     for t, snap in zip(traj.times, traj.states):
@@ -489,6 +496,78 @@ def test_simulate_trajectory_matches_per_row_writer(tmp_path, capsys):
                      for n, v in enumerate(snap))
     want = ("\n".join(lines) + "\n").encode()
     assert (tmp_path / "trajectory.csv").read_bytes() == want
+
+
+FINITE_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, float(np.nextafter(1.0, 0.0)),
+                1.0, float(np.nextafter(1.0, 2.0)), 1e-300, 0.1, 1 / 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sites=st.integers(1, 30), data=st.data())
+def test_snapshot_blocks_match_the_per_value_writer(sites, data):
+    """The %-template blocks equal t and each value formatted by _g17, at the
+    float edges too: signed zeros, subnormals, huge values and 1 +- 1 ulp."""
+    value = st.one_of(st.sampled_from(FINITE_EDGES),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    snaps = data.draw(st.lists(st.lists(value, min_size=1 + sites, max_size=1 + sites),
+                               min_size=1, max_size=4))
+    got = list(_snapshot_blocks(io.BytesIO(np.array(snaps).tobytes()), sites))
+    want = ["\n".join(f"{_g17(snap[0])},{n},{_g17(v)}" for n, v in enumerate(snap[1:]))
+            for snap in snaps]
+    assert got == want
+
+
+def simulated_speed(model, sim):
+    cfg = validate({"model": model, "sim": sim}, "simulate")
+    sc = cfg["sim"]
+    init = front_state(sc["M"], sc["front_at"], width=sc["width"])
+    traj = integrate(build_lattice(cfg["model"]), init, sc["dt"], sc["T"],
+                     stride=sc["stride"])
+    return measure_speed(traj, level=sc["level"]).c_measured
+
+
+@pytest.mark.parametrize("model, sim", [
+    ({"kind": "nagumo", "a": 0.25}, {}), ({"kind": "nagumo", "a": 0.4}, {}),
+    ({"kind": "infinite_range", "a": 0.3, "eps": 0.1}, {"T": 15.0})],
+    ids=["nagumo-a0.25", "nagumo-a0.4", "infinite-range"])
+def test_default_step_measures_the_speed_of_a_five_times_smaller_step(model, sim):
+    """The default step 0.1 with stride 2 records at the spacing 0.2 of step
+    0.02 with stride 10, and the measured speed moves by less than 1e-6."""
+    assert SCHEMA["sim"]["dt"][0] * SCHEMA["sim"]["stride"][0] == pytest.approx(0.2)
+    fine = simulated_speed(model, dict(sim, dt=0.02, stride=10))
+    assert abs(simulated_speed(model, sim) - fine) <= 1e-6
+
+
+@pytest.mark.parametrize("cfg, h, digests", [
+    ({"model": {"kind": "nagumo", "a": 0.35},
+      "sim": {"M": 200, "T": 40.0, "dt": 0.02, "stride": 10}}, "9841987257573767",
+     ("5490302fb343b0e9", "26419b8f082493a2", "0ce27e98f684d939")),
+    ({"model": {"kind": "infinite_range", "a": 0.3, "eps": 0.1},
+      "sim": {"M": 200, "T": 15.0, "dt": 0.02, "stride": 10}}, "4519e8cd6149b506",
+     ("ca2a05ec48fed932", "3327960c6aec80b7", "ed3d67ccd8964844"))],
+    ids=["nagumo", "infinite-range"])
+def test_explicit_step_and_stride_keep_their_artifacts(tmp_path, capsys, cfg, h, digests):
+    """A config that sets sim.dt 0.02 and sim.stride 10 keeps the hash and the
+    trajectory.csv, profile.csv and speed.json bytes it had when those were
+    the defaults (SHA-256 prefixes pinned then)."""
+    assert config_hash(validate(json.loads(json.dumps(cfg)), "simulate")) == h
+    assert run("simulate", cfg, tmp_path) == 0
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+                for name in ("trajectory.csv", "profile.csv", "speed.json"))
+    assert got == digests
+
+
+def test_simulate_far_right_front_writes_nothing_to_stderr(tmp_path):
+    """front_at 0.9 of 1600 sites puts exp past its float range at the left
+    end; the run exits 0 with an empty stderr, warnings shown."""
+    src = str(Path(latticefronts.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticefronts.cli", "simulate", "--output", str(tmp_path),
+         "model.kind=nagumo", "sim.M=1600", "sim.front_at=0.9", "sim.T=20"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "speed.json").exists()
 
 
 def test_simulate_artifacts_are_byte_identical_across_runs(tmp_path, capsys):
@@ -670,30 +749,32 @@ XM, XP = 0.5 * (1.0 - math.sqrt(1.8)), 0.5 * (1.0 + math.sqrt(1.8))
 
 @pytest.mark.parametrize("command, cfg, digest", [
     ("equilibria", {"model": {"kind": "nagumo", "d1": -0.05, "a": 0.5, "period": 4}},
-     "79cb1e4bf8ca77b7"),
+     "bb1be9531f979b59"),
     ("transform2", {"model": {"kind": "two_site", "d1": -0.05, "a": 0.5,
-                              "minus_index": 2, "plus_index": 6}}, "67af7b002f632607"),
+                              "minus_index": 2, "plus_index": 6}}, "e0c6c21ba7421a0e"),
     ("transform4", {"model": {"kind": "four_site", "d1": 0, "d2": 1, "a": 0.3}},
-     "d1bd755ae522603f"),
+     "8adfc256809602e1"),
     ("check-hyperbolic", {"hyperbolic": {"c": 0.2, "operator": dict(OPERATOR, gamma1_plus=0.6)}},
-     "9081ef6971146df6"),
+     "311b2d7a44579504"),
     ("solve-wave", {"model": {"kind": "nagumo", "a": 0.4}, "grid": {"L": 30, "h": 0.5},
-                    "solver": {"c0": 0.2}}, "4fd44818faf44a56"),
+                    "solver": {"c0": 0.2}}, "7c434821a131e089"),
     ("continue", {"model": {"kind": "two_site", "d1": -0.05, "a": 0.5, "d2": 0.01,
                             "minus": [XM, XP], "plus": [XP, XM]},
                   "grid": {}, "solver": {"c0": 0}, "continuation": {"eps_to": 1}},
-     "f8a55faf44a8e7c5"),
+     "f950cf3eaa36d0ef"),
     ("fixed-point", {"model": {"kind": "two_site", "d1": 1.0, "d2": -0.1, "a": 0.3,
                                "eps": 0.05, "minus": [0, 0], "plus": [1, 1]}, "grid": {}},
-     "0ac6c962c1dae43c"),
+     "0985ec3bd482a502"),
     ("simulate", {"model": {"kind": "infinite_range", "a": 0.3, "eps": 0.1},
-                  "sim": {"M": 60, "T": 4, "stride": 3}}, "026c20431620072d"),
+                  "sim": {"M": 60, "T": 4, "stride": 3}}, "67fdaeaf5ef8f0b0"),
     ("tails", {"model": {"kind": "nagumo", "a": 0.25}, "tails": {"c": 0.28}},
-     "1df2fc62ae4cf733"),
+     "24978ea585ee4396"),
     ("sweep", {"model": {"kind": "nagumo", "d1": -0.05, "a": 0.5},
                "sweep": {"parameter": "model.a", "values": [0.4, 0.5],
                          "command": "equilibria"},
-               "output": {"dir": "sweep-out"}}, "64820d4a845f3ced")])
+               "output": {"dir": "sweep-out"}}, "11bba964512a912e")],
+    ids=["equilibria", "transform2", "transform4", "check-hyperbolic", "solve-wave",
+         "continue", "fixed-point", "simulate", "tails", "sweep"])
 def test_config_hash_is_pinned(command, cfg, digest):
     """The normalized config keeps every value as given (ints in float fields
     included) and fills today's defaults, so artifacts stamped with its hash

@@ -39,12 +39,88 @@ def nagumo_traj(nagumo_model):
 # setup and stepping
 
 def test_stability_guard_value(nagumo_model):
-    # stencil magnitude 4 plus the worst cubic slope on [-1/2, 3/2]
+    # half of RK4's real interval 2.785 over the stencil magnitude 4 plus
+    # the worst cubic slope 3.15 on [-1/2, 3/2]
     dt_max = stability_dt_max(nagumo_model)
-    assert 0.02 < dt_max < 0.06
+    assert 0.19 < dt_max < 0.2
     init = front_state(100)
     with pytest.raises(ValueError):
         integrate(nagumo_model, init, 2.0 * dt_max, 1.0)
+
+
+def rk4_amplification(z):
+    """|R(z)| of classical RK4 on the test equation u' = lambda u, z = dt lambda."""
+    return np.abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
+
+
+def gershgorin_sum(model):
+    """Largest per-site coupling magnitude plus the largest |F'| on
+    [-1/2, 3/2]; F' is a quadratic, so that maximum is at an end or the vertex."""
+    per_site = [sum(abs(a) for (n, _k), a in model.couplings.items() if n == site)
+                for site in range(model.period)]
+    slope = max(float(np.max(np.abs(c.deriv(np.array([-0.5, 1.5, (1.0 + c.a) / 3.0])))))
+                for c in model.cubics)
+    return max(per_site) + slope
+
+
+def test_rk4_real_stability_interval():
+    """R(z) = 1 has its one negative real root at -2.7853, so |R| <= 1 on
+    [-2.785, 0] and not beyond."""
+    roots = np.roots([1 / 24, 1 / 6, 1 / 2, 1.0])     # (R(z) - 1) / z
+    (edge,) = roots[np.abs(roots.imag) < 1e-12].real
+    assert -2.786 < edge < -2.785
+    assert rk4_amplification(np.linspace(-2.785, 0.0, 10001)).max() <= 1.0
+    assert rk4_amplification(-2.786) > 1.0
+
+
+def drawn_lattices():
+    weight, slope_k, root = st.floats(-2.0, 2.0), st.floats(0.1, 3.0), st.floats(-0.5, 1.5)
+    nagumo = st.builds(build_nagumo, st.floats(0.0, 3.0), st.floats(-1.0, 1.0),
+                       st.floats(0.01, 0.99))
+    infinite = st.builds(
+        lambda a, q, scale, k0, extra, eps:
+            build_infinite_range(a, q, scale, k0, k0 + extra).full_model(eps),
+        st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.floats(0.1, 3.0),
+        st.integers(1, 3), st.integers(1, 40), st.floats(0.0, 1.0))
+
+    def periodic(P):
+        return st.builds(
+            lambda ws, cubics: LatticeModel(
+                P, {(n, k): w for (n, k), w in zip(
+                    [(n, k) for n in range(P) for k in range(-2, 3)], ws)},
+                tuple(CubicNonlinearity(k, a) for k, a in cubics)),
+            st.lists(weight, min_size=5 * P, max_size=5 * P),
+            st.lists(st.tuples(slope_k, root), min_size=P, max_size=P))
+    return st.one_of(nagumo, infinite, periodic(2), periodic(4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=drawn_lattices(), seed=st.integers(0, 2**32 - 1))
+def test_stability_guard_keeps_rk4_stable_on_the_gershgorin_interval(model, seed):
+    """At the guard's step, RK4 damps every z on dt [-rho, 0], and rho bounds
+    every eigenvalue of the lattice's Jacobian at a state inside [-1/2, 3/2]."""
+    rho = gershgorin_sum(model)
+    dt = stability_dt_max(model)
+    assert dt * rho <= 0.5 * 2.785 * (1.0 + 1e-12)
+    assert rk4_amplification(np.linspace(-dt * rho, 0.0, 2001)).max() <= 1.0
+    M = 2 * max(model.k_max, 1) + 4 * model.period
+    u = np.random.default_rng(seed).uniform(-0.5, 1.5, M)
+    rhs, h = _lattice_rhs(model, M), 1e-7
+    base = rhs(u).copy()
+    jac = np.column_stack([(rhs(u + h * e) - base) / h for e in np.eye(M)])
+    assert np.max(np.abs(np.linalg.eigvals(jac))) <= rho * (1.0 + 1e-5) + 1e-5
+
+
+@pytest.mark.parametrize("M, front_at, width", [
+    (60, 0.25, 2.0), (400, 0.7, 2.0), (1600, 0.9, 2.0), (3001, 0.95, 0.5)])
+def test_front_state_matches_the_logistic_formula(M, front_at, width):
+    """Bit for bit the logistic step, also where exp overflows to inf, and
+    without a floating-point warning."""
+    with np.errstate(over="ignore"):
+        want = 1.0 / (1.0 + np.exp(-(np.arange(M) - front_at * M) / width))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = front_state(M, front_at, width).sites
+    assert np.array_equal(got, want)
 
 
 def test_front_state_shape():
@@ -153,7 +229,7 @@ def test_integrate_matches_allocating_rk4(name):
     model = RK4_MODELS[name]
     init = front_state(400)
     dt = 0.9 * stability_dt_max(model)
-    # 191, 188 and 143 steps: the last one is not on a stride
+    # 26, 34 and 34 steps: the last one is not on a stride
     traj = integrate(model, init, dt, 6.0, stride=7)
     times, states = reference_integrate(model, init, dt, 6.0, 7)
     assert np.array_equal(traj.times, times)
