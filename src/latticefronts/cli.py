@@ -1,21 +1,20 @@
 """Command-line orchestration.
 
 Single JSON config file plus dotted-path overrides; every command writes
-deterministic CSV/JSON artifacts stamped with the config hash.  Exit
-codes: 0 success, 2 convergence failure, 3 hyperbolicity violation,
-4 invalid config, 5 kernel-dimension obstruction.
+deterministic CSV/JSON artifacts stamped with the config hash (simulate also
+writes trajectory.npy, which carries no stamp).  Exit codes: 0 success,
+2 convergence failure, 3 hyperbolicity violation, 4 invalid config,
+5 kernel-dimension obstruction.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import functools
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -47,8 +46,8 @@ EXIT_HYPERBOLICITY = 3
 EXIT_CONFIG = 4
 EXIT_KERNEL = 5
 
-# most values a simulate run's snapshot array may hold (sim.M per snapshot):
-# 400 MB of float64
+# most site values a simulate run's snapshot array may hold (sim.M per
+# snapshot): 400 MB of float64, and as much again in trajectory.npy
 _MAX_SNAPSHOT_VALUES = 50_000_000
 
 
@@ -172,15 +171,11 @@ def _meta_line(h: str) -> str:
 
 
 def write_csv(path: Path, header: str, rows, h: str):
-    """Meta line, header, then each item of ``rows`` as it comes.
-
-    An item is one line or a block of lines joined by newlines, without a
-    trailing one; a generator of blocks is written without being held whole.
-    """
+    """Meta line, header, then each item of ``rows`` as one line."""
     with open(path, "w") as f:
         f.write(f"{_meta_line(h)}\n{header}\n")
-        for block in rows:
-            f.write(block)
+        for row in rows:
+            f.write(row)
             f.write("\n")
 
 
@@ -191,50 +186,16 @@ def write_json(path: Path, obj: dict, h: str):
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _snapshot_blocks(source, sites: int):
-    """trajectory.csv blocks of the snapshots read from ``source`` as float64
-    bytes (t, then the sites); t is formatted once, the site numbers are fixed.
-    One %-template per run takes t and the values interleaved."""
-    tmpl = "\n".join(f"%s,{n},%.17g" for n in range(sites))
-    args = [None] * (2 * sites)
-    while len(raw := source.read(8 * (1 + sites))) == 8 * (1 + sites):
-        snap = np.frombuffer(raw).tolist()
-        args[0::2] = [_g17(snap[0])] * sites
-        args[1::2] = snap[1:]
-        yield tmpl % tuple(args)
-
-
-@contextlib.contextmanager
-def _forked_writer(path: Path, sites: int, h: str):
-    """Yield ``send(t, u)``, which pipes one snapshot to a forked process that
-    formats it into a temporary file next to ``path``.  The file replaces
-    ``path`` when the block and the process both succeed and is deleted
-    otherwise; a failed process raises OSError."""
-    part = path.with_name(path.name + ".part")
-    r, w = os.pipe()
-    with open(r, "rb") as source, open(w, "wb") as sink:
-        pid = os.fork()
-        if pid == 0:            # the writer formats and writes, then leaves by os._exit
-            try:
-                sink.close()
-                write_csv(part, "t,site,value", _snapshot_blocks(source, sites), h)
-            except BaseException:
-                os._exit(1)
-            os._exit(0)
-        source.close()
-        try:
-            try:
-                # a broken pipe means the writer failed: its status says so below
-                with contextlib.suppress(BrokenPipeError), sink:
-                    yield lambda t, u: sink.write(np.float64(t).tobytes() + u.tobytes())
-            finally:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code:
-                raise OSError(f"the writer of {path.name} exited with status {code}")
-            os.replace(part, path)
-        except BaseException:
-            part.unlink(missing_ok=True)
-            raise
+def write_trajectory(path: Path, traj):
+    """trajectory.npy: one float64 array of shape (S, 1 + M), each row t then
+    the M sites.  The bytes of np.save(np.column_stack([times, states])),
+    written row by row so that no second copy of the snapshots is made."""
+    shape = (len(traj.times), 1 + traj.sites)
+    with open(path, "wb") as f:
+        np.lib.format.write_array_header_1_0(
+            f, {"descr": "<f8", "fortran_order": False, "shape": shape})
+        for t, u in zip(traj.times, traj.states):
+            f.write(t.tobytes() + u.tobytes())
 
 
 def write_profile_csv(path: Path, xi, profile, h: str):
@@ -446,12 +407,12 @@ def cmd_simulate(cfg, out, h):
     model = build_lattice(cfg["model"])
     sc = cfg["sim"]
     init = front_state(sc["M"], sc["front_at"], width=sc["width"])
-    with _forked_writer(out / "trajectory.csv", len(init.sites), h) as send:
-        traj = integrate(model, init, sc["dt"], sc["T"], stride=sc["stride"],
-                         snapshot=send)
-        speed = measure_speed(traj, level=sc["level"])
-        xi, prof, scatter, warn = extract_profile(traj, speed.c_measured)
-        mono = check_monotonicity(prof)
+    traj = integrate(model, init, sc["dt"], sc["T"], stride=sc["stride"])
+    speed = measure_speed(traj, level=sc["level"])
+    xi, prof, scatter, warn = extract_profile(traj, speed.c_measured)
+    mono = check_monotonicity(prof)
+    # every check above has passed: a failed run writes nothing
+    write_trajectory(out / "trajectory.npy", traj)
     write_profile_csv(out / "profile.csv", xi, prof, h)
     write_json(out / "speed.json", {
         "c_measured": speed.c_measured, "fit_residual": speed.fit_residual,

@@ -77,7 +77,7 @@ class FixedPointState:
     psi: np.ndarray
     c_current: float
     history: tuple[tuple[float, float, float], ...]   # (step_norm, c_k, lambda_hat)
-    contraction_ratio: float
+    contraction_ratio: float    # largest lambda_hat of history but the closing step's
     delta_hat: float
     C0_estimate: float
     max_psi_norm: float
@@ -223,7 +223,6 @@ def iterate(ctx: FixedPointContext, tol: float = 1e-10, max_iter: int = 200):
         psi_next = apply_T(ctx, psi, c=c, solver=solver)
         step = float(np.max(np.abs(psi_next - psi)))
         ratio = step / prev_step if (prev_step and prev_step > 0.0) else 0.0
-        lam_hat = max(lam_hat, ratio)
         history.append((step, c, ratio))
         bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
         if bad_streak >= 3:
@@ -237,6 +236,8 @@ def iterate(ctx: FixedPointContext, tol: float = 1e-10, max_iter: int = 200):
         prev_step = step
         if step <= tol:
             break
+        # the closing step's ratio sits at the rounding floor: history only
+        lam_hat = max(lam_hat, ratio)
     else:
         raise ContractionFailureError(
             f"no convergence within {max_iter} Picard iterations "

@@ -153,11 +153,10 @@ def _lattice_rhs(model: LatticeModel, M: int):
 
 
 def integrate(model: LatticeModel, init: SimState, dt: float, T: float,
-              stride: int = 1, snapshot=lambda t, u: None) -> Trajectory:
+              stride: int = 1) -> Trajectory:
     """Classical RK4 with fixed step; the end cells keep their initial values.
 
-    Records the initial state, every ``stride``-th step and the last step,
-    and passes each recorded (t, u) to ``snapshot``.
+    Records the initial state, every ``stride``-th step and the last step.
     The stages run in preallocated buffers, in the operation order of
     u + (dt/6) (k1 + 2 k2 + 2 k3 + k4) with k2 = f(u + (dt/2) k1) etc.
     """
@@ -173,7 +172,6 @@ def integrate(model: LatticeModel, init: SimState, dt: float, T: float,
     states = np.empty((1 + steps // stride + (steps % stride != 0), M))
     states[0] = u
     times = [init.t]
-    snapshot(init.t, states[0])
     k1, k2, k3, k4, w = (np.empty(M) for _ in range(5))
     finite = np.empty(M, dtype=bool)
     half, sixth = 0.5 * dt, dt / 6.0
@@ -195,7 +193,6 @@ def integrate(model: LatticeModel, init: SimState, dt: float, T: float,
         if step % stride == 0 or step == steps:
             states[len(times)] = u
             times.append(init.t + step * dt)
-            snapshot(times[-1], states[len(times) - 1])
     return Trajectory(model=model, times=np.array(times), states=states)
 
 

@@ -24,7 +24,6 @@ from latticefronts.cli import (
     SCHEMA,
     ConfigError,
     _g17,
-    _snapshot_blocks,
     build_lattice,
     config_hash,
     main,
@@ -423,7 +422,7 @@ def test_simulate_config_errors_exit_4(tmp_path, capsys, sim, field):
     assert err["type"] == "ConfigError"
     assert len(err["violations"]) == 1
     assert err["violations"][0].startswith(f"{field} = ")
-    assert not (tmp_path / "trajectory.csv").exists()
+    assert not (tmp_path / "trajectory.npy").exists()
 
 
 @pytest.mark.parametrize("T, ok", [(999_998.0, True), (999_999.0, False),
@@ -481,40 +480,31 @@ SMALL_SIM = {"model": {"kind": "nagumo"},
 
 
 def test_simulate_trajectory_matches_per_row_writer(tmp_path, capsys):
+    """trajectory.npy is t and the sites of each snapshot of a direct
+    integrate, bit for bit, in the bytes np.save gives that array."""
     assert run("simulate", SMALL_SIM, tmp_path) == 0
-    cfg = validate(SMALL_SIM, "simulate")
-    sc = cfg["sim"]
+    sc = validate(SMALL_SIM, "simulate")["sim"]
     model = build_nagumo(1.0, 0.0, 0.3)
     init = front_state(sc["M"], sc["front_at"], width=sc["width"])
     traj = integrate(model, init, sc["dt"], sc["T"], stride=sc["stride"])
+    want = np.column_stack([traj.times, traj.states])
+    got = np.load(tmp_path / "trajectory.npy")
     # 40 steps: the last snapshot is not on a stride
-    assert len(traj.times) == 1 + 40 // 3 + 1
-    lines = [f"# latticefronts {__version__} config={config_hash(cfg)}",
-             "t,site,value"]
-    for t, snap in zip(traj.times, traj.states):
-        lines.extend(f"{float(t):.17g},{n},{float(v):.17g}"
-                     for n, v in enumerate(snap))
-    want = ("\n".join(lines) + "\n").encode()
-    assert (tmp_path / "trajectory.csv").read_bytes() == want
+    assert got.dtype == np.float64 and got.shape == (1 + 40 // 3 + 1, 61)
+    assert got.tobytes() == want.tobytes()
+    saved = io.BytesIO()
+    np.save(saved, want)
+    assert (tmp_path / "trajectory.npy").read_bytes() == saved.getvalue()
 
 
-FINITE_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, float(np.nextafter(1.0, 0.0)),
-                1.0, float(np.nextafter(1.0, 2.0)), 1e-300, 0.1, 1 / 3]
-
-
-@settings(max_examples=60, deadline=None)
-@given(sites=st.integers(1, 30), data=st.data())
-def test_snapshot_blocks_match_the_per_value_writer(sites, data):
-    """The %-template blocks equal t and each value formatted by _g17, at the
-    float edges too: signed zeros, subnormals, huge values and 1 +- 1 ulp."""
-    value = st.one_of(st.sampled_from(FINITE_EDGES),
-                      st.floats(allow_nan=False, allow_infinity=False))
-    snaps = data.draw(st.lists(st.lists(value, min_size=1 + sites, max_size=1 + sites),
-                               min_size=1, max_size=4))
-    got = list(_snapshot_blocks(io.BytesIO(np.array(snaps).tobytes()), sites))
-    want = ["\n".join(f"{_g17(snap[0])},{n},{_g17(v)}" for n, v in enumerate(snap[1:]))
-            for snap in snaps]
-    assert got == want
+def old_trajectory_csv(path: Path, h: str) -> bytes:
+    """trajectory.npy formatted as the text trajectory.csv it replaced: meta
+    line, header, then one line t,site,value per site of each snapshot."""
+    lines = [f"# latticefronts {__version__} config={h}", "t,site,value"]
+    for row in np.load(path):
+        t = _g17(row[0])
+        lines.extend(f"{t},{n},{_g17(v)}" for n, v in enumerate(row[1:]))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def simulated_speed(model, sim):
@@ -549,12 +539,13 @@ def test_default_step_measures_the_speed_of_a_five_times_smaller_step(model, sim
 def test_explicit_step_and_stride_keep_their_artifacts(tmp_path, capsys, cfg, h, digests):
     """A config that sets sim.dt 0.02 and sim.stride 10 keeps the hash and the
     trajectory.csv, profile.csv and speed.json bytes it had when those were
-    the defaults (SHA-256 prefixes pinned then)."""
+    the defaults (SHA-256 prefixes pinned then); the trajectory is rebuilt as
+    text from trajectory.npy."""
     assert config_hash(validate(json.loads(json.dumps(cfg)), "simulate")) == h
     assert run("simulate", cfg, tmp_path) == 0
-    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
-                for name in ("trajectory.csv", "profile.csv", "speed.json"))
-    assert got == digests
+    texts = [old_trajectory_csv(tmp_path / "trajectory.npy", h),
+             *((tmp_path / name).read_bytes() for name in ("profile.csv", "speed.json"))]
+    assert tuple(hashlib.sha256(b).hexdigest()[:16] for b in texts) == digests
 
 
 def test_simulate_far_right_front_writes_nothing_to_stderr(tmp_path):
@@ -573,63 +564,40 @@ def test_simulate_far_right_front_writes_nothing_to_stderr(tmp_path):
 def test_simulate_artifacts_are_byte_identical_across_runs(tmp_path, capsys):
     assert run("simulate", dict(SMALL_SIM), tmp_path / "a") == 0
     assert run("simulate", dict(SMALL_SIM), tmp_path / "b") == 0
-    for name in ("trajectory.csv", "profile.csv", "speed.json"):
+    for name in ("trajectory.npy", "profile.csv", "speed.json"):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes())
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def test_simulate_runs_without_fork(tmp_path, capsys, monkeypatch):
+    """simulate does not fork: with os.fork raising, it exits 0 and writes
+    all three artifacts."""
+    def no_fork():
+        raise OSError("fork is unavailable")
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run("simulate", SMALL_SIM, tmp_path) == 0
+    assert sorted(os.listdir(tmp_path)) == ["profile.csv", "speed.json", "trajectory.npy"]
 
 
 @pytest.mark.parametrize("sim, code", [({"front_at": 3.0}, 2), ({"dt": 0.5}, 4)],
                          ids=["no-front-in-window", "dt-above-guard"])
 def test_simulate_failure_publishes_nothing_and_reaps_the_writer(tmp_path, capsys,
                                                                  sim, code):
-    """Runs that fail after the trajectory writer is forked: the front starts
-    off the lattice (exit 2), dt exceeds the stability guard (exit 4)."""
+    """Runs that fail after the lattice is built write no artifact: the front
+    starts off the lattice (exit 2), dt exceeds the stability guard (exit 4)."""
     cfg = {"model": {"kind": "nagumo"}, "sim": dict(SMALL_SIM["sim"], **sim)}
     assert run("simulate", cfg, tmp_path) == code
     assert os.listdir(tmp_path) == []
-    assert_no_child_left()
 
 
 def test_simulate_onto_a_trajectory_directory_raises(tmp_path, capsys):
-    """The finished trajectory cannot replace a directory: IsADirectoryError
-    escapes as from a direct write, and the temporary file is gone."""
-    (tmp_path / "trajectory.csv").mkdir()
+    """The trajectory cannot be written over a directory: IsADirectoryError
+    escapes as from a direct write, before any other artifact is written."""
+    (tmp_path / "trajectory.npy").mkdir()
     with pytest.raises(IsADirectoryError):
         run("simulate", SMALL_SIM, tmp_path)
-    assert os.listdir(tmp_path) == ["trajectory.csv"]
-    assert os.listdir(tmp_path / "trajectory.csv") == []
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("drain", [True, False], ids=["after-every-snapshot", "at-once"])
-def test_failing_trajectory_writer_raises_oserror_in_the_parent(tmp_path, capsys,
-                                                                monkeypatch, drain):
-    """A writer that fails exits in its own process, after reading every
-    snapshot (the parent learns of it from its status) or before reading any
-    (the parent also finds the pipe broken)."""
-    pid = os.getpid()
-
-    def failing_blocks(source, sites):
-        if drain:
-            source.read()
-        raise RuntimeError("formatting failed")
-        yield
-
-    monkeypatch.setattr("latticefronts.cli._snapshot_blocks", failing_blocks)
-    cfg = {"model": {"kind": "nagumo"}, "sim": dict(SMALL_SIM["sim"], M=300)}
-    try:
-        with pytest.raises(OSError, match="trajectory.csv exited with status 1"):
-            run("simulate", cfg, tmp_path)
-    finally:
-        if os.getpid() != pid:          # an escaped writer must not go on testing
-            os._exit(99)
-    assert os.listdir(tmp_path) == []
-    assert_no_child_left()
+    assert os.listdir(tmp_path) == ["trajectory.npy"]
+    assert os.listdir(tmp_path / "trajectory.npy") == []
 
 
 # --------------------------------------------------------------------------

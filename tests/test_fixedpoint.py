@@ -153,6 +153,17 @@ def test_iteration_matches_newton_translational(perturbed_nagumo):
     assert out.residual_norm <= 1e-8
 
 
+def test_contraction_ratio_leaves_out_the_closing_step(perturbed_nagumo):
+    """The ratio of the step that meets tol sits at the rounding floor: it
+    stays in history, and contraction_ratio is the largest of the others."""
+    problem, grid, sol = perturbed_nagumo
+    _, state = iterate(make_context(problem, grid, sol))
+    ratios = [ratio for _, _, ratio in state.history]
+    assert state.contraction_ratio == max(ratios[:-1])
+    # here the closing ratio is the largest, so the two rules differ
+    assert ratios[-1] > state.contraction_ratio
+
+
 def test_iterates_stay_orthogonal_to_kernel_surrogate(perturbed_nagumo):
     problem, grid, sol = perturbed_nagumo
     ctx = make_context(problem, grid, sol)

@@ -12,8 +12,8 @@ are those of the checkout this file sits in.
 
 ``diff`` lists, per job kind, the jobs whose exit code, stdout, stderr or
 artifacts differ between two runs, then the largest absolute difference of
-each numeric field: a JSON key path (list indices dropped) or a CSV column,
-prefixed by the artifact's name.
+each numeric field: a JSON key path (list indices dropped), a CSV column or a
+whole .npy array, prefixed by the artifact's name.
 It exits 1 when any job differs and 0 otherwise.
 """
 
@@ -30,6 +30,8 @@ import json  # noqa: E402
 import sys  # noqa: E402
 from collections import defaultdict  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("certify", "solve", "simulate")
@@ -87,6 +89,13 @@ def _csv_leaves(text: str):
 
 def _fields(name: str, a: bytes, b: bytes, worst: dict) -> None:
     """Fold the field-wise differences of one artifact into worst."""
+    if name.endswith(".npy"):
+        xa, xb = np.load(io.BytesIO(a)), np.load(io.BytesIO(b))
+        if xa.shape != xb.shape:
+            worst[name] = "layout differs"
+        elif not isinstance(worst.get(name), str):
+            worst[name] = max(worst.get(name, 0.0), float(np.max(np.abs(xa - xb))))
+        return
     if name.endswith(".json"):
         la, lb = list(_leaves(json.loads(a))), list(_leaves(json.loads(b)))
     elif name.endswith(".csv"):
