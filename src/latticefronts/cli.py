@@ -49,6 +49,8 @@ EXIT_KERNEL = 5
 # most site values a simulate run's snapshot array may hold (sim.M per
 # snapshot): 400 MB of float64, and as much again in trajectory.npy
 _MAX_SNAPSHOT_VALUES = 50_000_000
+# rows of profile.csv whose values exist as Python floats at one time
+_PROFILE_BLOCK_ROWS = 256
 
 
 class Kind(NamedTuple):
@@ -186,24 +188,16 @@ def write_json(path: Path, obj: dict, h: str):
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def write_trajectory(path: Path, traj):
-    """trajectory.npy: one float64 array of shape (S, 1 + M), each row t then
-    the M sites.  The bytes of np.save(np.column_stack([times, states])),
-    written row by row so that no second copy of the snapshots is made."""
-    shape = (len(traj.times), 1 + traj.sites)
-    with open(path, "wb") as f:
-        np.lib.format.write_array_header_1_0(
-            f, {"descr": "<f8", "fortran_order": False, "shape": shape})
-        for t, u in zip(traj.times, traj.states):
-            f.write(t.tobytes() + u.tobytes())
-
-
 def write_profile_csv(path: Path, xi, profile, h: str):
+    """profile.csv: xi and the N components of each row as %.17g fields, the
+    text _g17 gives each value."""
     N = profile.shape[1]
     header = "xi," + ",".join(f"u{i + 1}" for i in range(N))
-    rows = (",".join([_g17(x)] + [_g17(v) for v in row])
-            for x, row in zip(xi, profile))
-    write_csv(path, header, rows, h)
+    template = ",".join(["%.17g"] * (1 + N))
+    B = _PROFILE_BLOCK_ROWS
+    blocks = (zip(xi[i:i + B].tolist(), *profile[i:i + B].T.tolist())
+              for i in range(0, len(xi), B))
+    write_csv(path, header, (template % row for block in blocks for row in block), h)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +406,8 @@ def cmd_simulate(cfg, out, h):
     xi, prof, scatter, warn = extract_profile(traj, speed.c_measured)
     mono = check_monotonicity(prof)
     # every check above has passed: a failed run writes nothing
-    write_trajectory(out / "trajectory.npy", traj)
+    # t, then the sites, of each snapshot: one float64 (S, 1 + M) array
+    np.save(out / "trajectory.npy", traj.record)
     write_profile_csv(out / "profile.csv", xi, prof, h)
     write_json(out / "speed.json", {
         "c_measured": speed.c_measured, "fit_residual": speed.fit_residual,

@@ -12,9 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-# the kernel behind csr_matrix @ vector, here called with a preallocated output
-from scipy.sparse._sparsetools import csr_matvec
 
 from .model import LatticeModel
 
@@ -61,12 +58,19 @@ class SimState:
 @dataclass(frozen=True)
 class Trajectory:
     model: LatticeModel
-    times: np.ndarray
-    states: np.ndarray       # shape (num_snapshots, M)
+    record: np.ndarray       # shape (num_snapshots, 1 + M): t, then the M sites
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.record[:, 0]
+
+    @property
+    def states(self) -> np.ndarray:
+        return self.record[:, 1:]
 
     @property
     def sites(self) -> int:
-        return self.states.shape[1]
+        return self.record.shape[1] - 1
 
 
 @dataclass(frozen=True)
@@ -117,31 +121,42 @@ def _lattice_rhs(model: LatticeModel, M: int):
     couplings of the free cells, and the boundary values never enter.  The
     reaction coefficient is zero on the pinned cells.
 
+    C is one diagonal per distinct shift k, in ascending k, over the free
+    rows.  A row adds its diagonals in that order, which is the column order
+    a CSR row sums in; a diagonal's zero entry, where site n has no coupling
+    of shift k, adds +-0.0 to a sum that starts at +0.0 and so changes no bit
+    while the state is finite.
+
     The returned ``rhs(u, out=None)`` writes into ``out`` when one is given.
     It keeps its scratch vectors between calls, so one ``rhs`` serves one
     integration at a time.
     """
+    # the kernel behind dia_matrix @ vector, here called with a preallocated output
+    from scipy.sparse._sparsetools import dia_matvec
+
     pinned = max(model.k_max, 1)
-    site = np.arange(M)
-    rows, cols, vals = [], [], []
+    free = max(M - 2 * pinned, 0)
+    residue = np.arange(M) % model.period
+    shifts = sorted({k for _n, k in model.couplings})
+    row_of = {k: d for d, k in enumerate(shifts)}
+    # diags[d, j] multiplies u[j] in the row of site j - k, k = shifts[d]
+    diags = np.zeros((len(shifts), M))
     for (n, k), a in model.couplings.items():
-        sel = site[(site % model.period == n) & (site >= pinned) & (site < M - pinned)]
-        rows.append(sel)
-        cols.append(sel + k)
-        vals.append(np.full(len(sel), a))
-    C = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(M, M))
-    k_free = np.array([f.k for f in model.cubics])[site % model.period]
+        diags[row_of[k], residue == (n + k) % model.period] = a
+    # row r of the block is site r + pinned
+    offsets = np.array(shifts, dtype=np.int32) + np.int32(pinned)
+    k_free = np.array([f.k for f in model.cubics])[residue]
     k_free[:pinned] = 0.0
     k_free[M - pinned:] = 0.0
-    a_site = np.array([f.a for f in model.cubics])[site % model.period]
+    a_site = np.array([f.a for f in model.cubics])[residue]
     reaction, diff = np.empty(M), np.empty(M)
 
     def rhs(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
             out = np.empty(M)
         out.fill(0.0)
-        csr_matvec(M, M, C.indptr, C.indices, C.data, u, out)  # out += C u
+        # out[free rows] += C u
+        dia_matvec(free, M, len(offsets), M, offsets, diags, u, out[pinned:pinned + free])
         # k u (u - a) (u - 1), multiplied left to right
         np.multiply(k_free, u, out=reaction)
         np.subtract(u, a_site, out=diff)
@@ -156,8 +171,9 @@ def integrate(model: LatticeModel, init: SimState, dt: float, T: float,
               stride: int = 1) -> Trajectory:
     """Classical RK4 with fixed step; the end cells keep their initial values.
 
-    Records the initial state, every ``stride``-th step and the last step.
-    The stages run in preallocated buffers, in the operation order of
+    Records the initial state, every ``stride``-th step and the last step,
+    each as one row t, u of the trajectory's record.  The stages run in
+    preallocated buffers, in the operation order of
     u + (dt/6) (k1 + 2 k2 + 2 k3 + k4) with k2 = f(u + (dt/2) k1) etc.
     """
     dt_max = stability_dt_max(model)
@@ -169,9 +185,9 @@ def integrate(model: LatticeModel, init: SimState, dt: float, T: float,
     M = len(u)
     rhs = _lattice_rhs(model, M)
     steps = int(round(T / dt))
-    states = np.empty((1 + steps // stride + (steps % stride != 0), M))
-    states[0] = u
-    times = [init.t]
+    record = np.empty((1 + steps // stride + (steps % stride != 0), 1 + M))
+    record[0, 0], record[0, 1:] = init.t, u
+    rows = 1
     k1, k2, k3, k4, w = (np.empty(M) for _ in range(5))
     finite = np.empty(M, dtype=bool)
     half, sixth = 0.5 * dt, dt / 6.0
@@ -191,9 +207,9 @@ def integrate(model: LatticeModel, init: SimState, dt: float, T: float,
             raise BlowUpError(f"non-finite state at t={init.t + step * dt:.6g}",
                               time=init.t + step * dt)
         if step % stride == 0 or step == steps:
-            states[len(times)] = u
-            times.append(init.t + step * dt)
-    return Trajectory(model=model, times=np.array(times), states=states)
+            record[rows, 0], record[rows, 1:] = init.t + step * dt, u
+            rows += 1
+    return Trajectory(model=model, record=record)
 
 
 def _trailing(traj: Trajectory):

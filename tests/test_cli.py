@@ -29,6 +29,7 @@ from latticefronts.cli import (
     main,
     run,
     validate,
+    write_profile_csv,
 )
 from latticefronts.model import build_nagumo, find_two_periodic_equilibria
 from latticefronts.sim import front_state, integrate, measure_speed
@@ -497,6 +498,32 @@ def test_simulate_trajectory_matches_per_row_writer(tmp_path, capsys):
     assert (tmp_path / "trajectory.npy").read_bytes() == saved.getvalue()
 
 
+def per_value_profile_csv(xi, profile, h: str) -> bytes:
+    """profile.csv written one value at a time through _g17."""
+    header = "xi," + ",".join(f"u{i + 1}" for i in range(profile.shape[1]))
+    lines = [f"# latticefronts {__version__} config={h}", header]
+    lines.extend(",".join([_g17(x)] + [_g17(v) for v in row]) for x, row in zip(xi, profile))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("N", [1, 2, 4])
+def test_profile_csv_is_the_per_value_text(tmp_path, N):
+    """One %.17g template per row writes the bytes of _g17 per value: signed
+    zeros, subnormals, +-1e300, negative and random values, on either side of
+    the 256-row blocks the writer formats, and an empty profile."""
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300,
+                -1.5, 0.1, 1.0, -7.0, 1e-17, 123456789.123456789]
+    rng = np.random.default_rng(N)
+    values = np.concatenate([np.array(specials * N),
+                             rng.standard_normal(600 * N) * 10.0 ** rng.integers(-20, 20, 600 * N)])
+    profile = values.reshape(-1, N)
+    xi = np.concatenate([[-0.0, 5e-324, -1e300], rng.uniform(-40.0, 40.0, len(profile) - 3)])
+    for rows in (len(profile), 257, 256, 1, 0):
+        path = tmp_path / f"profile{rows}.csv"
+        write_profile_csv(path, xi[:rows], profile[:rows], "abc")
+        assert path.read_bytes() == per_value_profile_csv(xi[:rows], profile[:rows], "abc")
+
+
 def old_trajectory_csv(path: Path, h: str) -> bytes:
     """trajectory.npy formatted as the text trajectory.csv it replaced: meta
     line, header, then one line t,site,value per site of each snapshot."""
@@ -581,8 +608,7 @@ def test_simulate_runs_without_fork(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("sim, code", [({"front_at": 3.0}, 2), ({"dt": 0.5}, 4)],
                          ids=["no-front-in-window", "dt-above-guard"])
-def test_simulate_failure_publishes_nothing_and_reaps_the_writer(tmp_path, capsys,
-                                                                 sim, code):
+def test_simulate_failure_publishes_nothing(tmp_path, capsys, sim, code):
     """Runs that fail after the lattice is built write no artifact: the front
     starts off the lattice (exit 2), dt exceeds the stability guard (exit 4)."""
     cfg = {"model": {"kind": "nagumo"}, "sim": dict(SMALL_SIM["sim"], **sim)}

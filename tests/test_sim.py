@@ -1,12 +1,15 @@
 """Lattice ODE integration as an independent speed/profile oracle."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import latticefronts.sim
 from latticefronts.model import (CubicNonlinearity, LatticeModel, build_infinite_range,
                                  build_nagumo)
 from latticefronts.sim import (
@@ -169,16 +172,100 @@ def reference_rhs(model, u, left_v, right_v):
     return out
 
 
-def test_private_csr_matvec_adds_into_its_output():
-    # sim's RK4 step calls scipy's private kernel with a preallocated output
-    # and relies on it adding A x to what the output holds; the entries are
-    # exact in binary, so the summation order cannot change the result
+def test_private_dia_matvec_adds_into_its_output():
+    """sim's RK4 step calls scipy's private DIA kernel as dia_matvec(n_row,
+    n_col, n_diags, L, offsets, diags, x, y), with y a contiguous slice of a
+    preallocated output, and relies on it adding A x to what y holds, where
+    A[r, r + offsets[d]] = diags[d, r + offsets[d]].  n_row, n_col and L all
+    differ, and the entries are exact in binary, so the summation order
+    cannot change the result."""
+    from scipy.sparse._sparsetools import dia_matvec
+    offsets = np.array([0, 1, 2], dtype=np.int32)
+    # rows of length L = 5; the last column lies past n_col and is never read
+    diags = np.array([[2.0, -1.0, 0.5, 8.0, 64.0],
+                      [0.0, 3.0, 0.25, 4.0, 64.0],
+                      [1.0, 2.0, -4.0, 0.125, 64.0]])
+    A = np.array([[2.0, 3.0, -4.0, 0.0],
+                  [0.0, -1.0, 0.25, 0.125]])
+    x = np.array([1.0, 2.0, 4.0, 0.5])
+    out = np.ones(4)
+    dia_matvec(2, 4, 3, 5, offsets, diags, x, out[1:3])
+    assert np.array_equal(out, [1.0, *(1.0 + A @ x), 1.0])
+    assert np.array_equal(out, [1.0, -7.0, 0.0625, 1.0])
+
+
+def test_sim_imports_no_scipy_at_module_level():
+    """scipy is imported where the right-hand side is built, not on import."""
+    tree = ast.parse(Path(latticefronts.sim.__file__).read_text())
+    top = [alias.name for node in tree.body if isinstance(node, ast.Import)
+           for alias in node.names]
+    top += [node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.module]
+    assert not [name for name in top if name.split(".")[0] == "scipy"]
+
+
+def csr_lattice_rhs(model, M):
+    """The right-hand side as a CSR matrix built through COO, which sums each
+    row in ascending column order, and the same reaction term."""
     from scipy.sparse._sparsetools import csr_matvec
-    A = sp.csr_matrix(np.array([[2.0, 0.0, -1.0], [0.0, 0.0, 0.0], [0.5, 3.0, 0.0]]))
-    x = np.array([1.0, 2.0, 4.0])
-    out = np.ones(3)
-    csr_matvec(3, 3, A.indptr, A.indices, A.data, x, out)
-    assert np.array_equal(out, 1.0 + A @ x)
+    pinned = max(model.k_max, 1)
+    site = np.arange(M)
+    rows, cols, vals = [], [], []
+    for (n, k), a in model.couplings.items():
+        sel = site[(site % model.period == n) & (site >= pinned) & (site < M - pinned)]
+        rows.append(sel)
+        cols.append(sel + k)
+        vals.append(np.full(len(sel), a))
+    C = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(M, M))
+    k_free = np.array([f.k for f in model.cubics])[site % model.period]
+    k_free[:pinned] = 0.0
+    k_free[M - pinned:] = 0.0
+    a_site = np.array([f.a for f in model.cubics])[site % model.period]
+
+    def rhs(u):
+        out = np.zeros(M)
+        csr_matvec(M, M, C.indptr, C.indices, C.data, u, out)
+        return out - k_free * u * (u - a_site) * (u - 1.0)
+    return rhs
+
+
+@st.composite
+def gapped_lattices(draw):
+    """Period 1-4 and k_max 0-6; each site takes its own subset of a drawn
+    shift set, so the shifts have gaps and a shift of one site is missing
+    at another.  Weights include 0.0, -0.0 and 1e-13."""
+    P, k_max = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    shifts = sorted(draw(st.sets(st.integers(-k_max, k_max), min_size=1)))
+    weight = st.one_of(st.sampled_from([0.0, -0.0, 1e-13, -1e-13]), st.floats(-3.0, 3.0))
+    couplings = {(n, k): draw(weight)
+                 for n in range(P)
+                 for k in draw(st.lists(st.sampled_from(shifts), unique=True))}
+    if not couplings:
+        couplings[(draw(st.integers(0, P - 1)), draw(st.sampled_from(shifts)))] = draw(weight)
+    cubics = tuple(CubicNonlinearity(draw(st.floats(0.0, 3.0)), draw(st.floats(-0.5, 1.5)))
+                   for _ in range(P))
+    return LatticeModel(P, couplings, cubics)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=gapped_lattices(), data=st.data())
+def test_rhs_is_the_csr_rhs_byte_for_byte(model, data):
+    """The DIA right-hand side adds each row in the CSR row's order, so it
+    equals the CSR one in every bit, signed zeros included."""
+    M = data.draw(st.integers(2 * max(model.k_max, 1) + 1, 120))
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+    u = np.array(data.draw(st.lists(value, min_size=M, max_size=M)))
+    assert _lattice_rhs(model, M)(u).tobytes() == csr_lattice_rhs(model, M)(u).tobytes()
+
+
+@pytest.mark.parametrize("name", ["nagumo", "ir-k40"])
+def test_rhs_is_the_csr_rhs_byte_for_byte_on_the_bench_models(name):
+    model = RK4_MODELS[name]
+    u = front_state(400).sites + 0.01 * np.random.default_rng(5).standard_normal(400)
+    u[::7] = 0.0
+    rhs, out = _lattice_rhs(model, 400), np.full(400, np.nan)
+    assert rhs(u, out=out) is out
+    assert out.tobytes() == csr_lattice_rhs(model, 400)(u).tobytes()
 
 
 @pytest.mark.parametrize("model, exact", [
